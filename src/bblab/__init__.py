@@ -7,7 +7,6 @@ subtour relaxation), with every answer backed by a machine-checkable
 certificate in exact arithmetic.
 """
 
-from ._kernel import IMPLEMENTATION as KERNEL
 from .bbtree import (
     Atom,
     BBTree,

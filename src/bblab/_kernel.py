@@ -1,30 +1,71 @@
-"""Kernel selection: compiled extension when built, pure Python otherwise.
+"""Inner loops of the exact kernel: tableau pivots and row-violation scans.
 
-Set BBLAB_PURE_PYTHON=1 to force the fallback (used by the benchmark and by
-tests that compare the two implementations).
+All arithmetic is on Python ints, so every result is exact.  The cost is
+dominated by big-integer arithmetic, which a compiled loop does not remove.
 """
 
-import os
+# Recorded in benchmark output as the kernel that produced the numbers.
+IMPLEMENTATION = "python"
 
-if os.environ.get("BBLAB_PURE_PYTHON"):
-    from ._kernel_py import (  # noqa: F401
-        IMPLEMENTATION,
-        first_violated_mask,
-        pivot_update,
-        violated_indices,
-    )
-else:
-    try:
-        from ._speedups import (  # noqa: F401
-            IMPLEMENTATION,
-            first_violated_mask,
-            pivot_update,
-            violated_indices,
-        )
-    except ImportError:
-        from ._kernel_py import (  # noqa: F401
-            IMPLEMENTATION,
-            first_violated_mask,
-            pivot_update,
-            violated_indices,
-        )
+
+def pivot_update(rows, r, c, den):
+    """One integer-preserving pivot on entry (r, c) of an integer tableau.
+
+    ``rows`` is a list of equal-length int lists representing tableau/den;
+    every row except the pivot row is updated in place via
+    new = (old * pivot - old_c * pivot_row) // den, which is an exact
+    division.  Returns the new denominator (the old pivot entry).
+    """
+    prow = rows[r]
+    piv = prow[c]
+    ncols = len(prow)
+    for i in range(len(rows)):
+        if i == r:
+            continue
+        row = rows[i]
+        f = row[c]
+        if f == 0:
+            if piv != den:
+                for j in range(ncols):
+                    row[j] = row[j] * piv // den
+        else:
+            for j in range(ncols):
+                row[j] = (row[j] * piv - f * prow[j]) // den
+    return piv
+
+
+def violated_indices(introws, nums, den):
+    """Indices of integerized <=-rows violated at the point nums/den.
+
+    Each row is a list of n coefficients followed by the rhs; the point is
+    given as integer numerators over a positive common denominator.
+    """
+    out = []
+    n = len(nums)
+    for idx in range(len(introws)):
+        row = introws[idx]
+        s = 0
+        for j in range(n):
+            v = nums[j]
+            if v:
+                s += row[j] * v
+        if s > row[n] * den:
+            out.append(idx)
+    return out
+
+
+def first_violated_mask(introws, mask):
+    """First integerized <=-row violated at the 0/1 point given as a bitmask."""
+    for idx in range(len(introws)):
+        row = introws[idx]
+        s = 0
+        m = mask
+        j = 0
+        while m:
+            if m & 1:
+                s += row[j]
+            m >>= 1
+            j += 1
+        if s > row[len(row) - 1]:
+            return idx
+    return -1

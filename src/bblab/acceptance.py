@@ -359,21 +359,10 @@ def criterion_10(reg: Registry):
             return False, f"n={n}: incumbent is not a Hamiltonian cycle"
         if not T.contains(rep.point):
             return False, f"n={n}: incumbent violates a relaxation row"
-        witnesses = _integral_witnesses(rep)
+        witnesses = rep.leaf_witnesses()
         reg.add(ReplayItem("solves", T, rep.tree, objective=c, witnesses=witnesses))
         sizes.append(f"n={n}: {rep.nodes} nodes")
     return True, "solved with verified tours (" + "; ".join(sizes) + ")"
-
-
-def _integral_witnesses(rep):
-    """Map leaf index (left-to-right order) to the engine's integral optimum."""
-    paths = rep.tree.leaf_paths()
-    out = {}
-    for i, path in enumerate(paths):
-        rec = rep.records.get(path)
-        if rec is not None and rec.pruned == "integral":
-            out[i] = rec.lp_point
-    return out
 
 
 def criterion_11(reg: Registry):

@@ -186,12 +186,7 @@ def _make_strategy(spec):
 
 
 def _report_json(rep, strategy, budget):
-    paths = rep.tree.leaf_paths()
-    witnesses = {}
-    for i, path in enumerate(paths):
-        rec = rep.records.get(path)
-        if rec is not None and rec.pruned == "integral":
-            witnesses[str(i)] = point_to_json(rec.lp_point)
+    witnesses = {str(i): point_to_json(p) for i, p in rep.leaf_witnesses().items()}
     return {
         "status": rep.status,
         "nodes": rep.nodes,
@@ -306,8 +301,6 @@ def build_parser():
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--budget-nodes", type=int, default=100_000)
-    common.add_argument("--format", choices=["json", "csv"], default="json")
     common.add_argument("--out", default=None, help="output path ('-' for stdout)")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -337,6 +330,7 @@ def build_parser():
                    choices=["most-fractional", "random-general"])
     p.add_argument("--M", type=int, default=2)
     p.add_argument("--objective")
+    p.add_argument("--budget-nodes", type=int, default=100_000)
     p.add_argument("--budget-leaves", type=int, default=100_000)
     p.add_argument("--tree-out")
     p.set_defaults(fn=cmd_run)

@@ -107,8 +107,6 @@ class FixedSequence:
 class SearchBudget:
     max_nodes: int = 100_000
     max_leaves: int = 100_000
-    coeff_bound: int = 3
-    time_hint: float | None = None  # advisory only
 
     def __post_init__(self):
         if self.max_nodes < 1 or self.max_leaves < 1:
@@ -133,7 +131,16 @@ class RunReport:
     value: Fraction | None = None
     point: tuple | None = None
     records: dict = field(default_factory=dict)  # path -> NodeRecord
-    caveat: str | None = None
+
+    def leaf_witnesses(self):
+        """Map leaf index (left-to-right order) to the engine's integral LP
+        optimum, for every leaf pruned as integral."""
+        out = {}
+        for i, path in enumerate(self.tree.leaf_paths()):
+            rec = self.records.get(path)
+            if rec is not None and rec.pruned == "integral":
+                out[i] = rec.lp_point
+        return out
 
 
 class _Node:
@@ -167,13 +174,11 @@ def run_bb(P: Polytope, strategy, objective=None, budget=None) -> RunReport:
     incumbent_value = None
     incumbent_point = None
     found_integral = None
-    node_count = 0
 
     def make_node(path, rows):
-        nonlocal node_count, incumbent_value, incumbent_point, found_integral
+        nonlocal incumbent_value, incumbent_point, found_integral
         nd = _Node(len(nodes), path, rows)
         nodes.append(nd)
-        node_count += 1
         atom = P.with_rows(rows)
         if objective is None:
             out = lp_feasible(atom)
@@ -208,7 +213,8 @@ def run_bb(P: Polytope, strategy, objective=None, budget=None) -> RunReport:
         ):
             nd.pruned = "bounded"
             continue
-        if node_count + 2 > budget.max_nodes or _leaf_count(nodes) + 1 > budget.max_leaves:
+        leaves = (len(nodes) + 1) // 2  # the tree is full binary
+        if len(nodes) + 2 > budget.max_nodes or leaves + 1 > budget.max_leaves:
             status = "budget-exceeded"
             break
         disj = strategy.choose(nd.outcome.point, nd.nid)
@@ -248,10 +254,6 @@ def run_bb(P: Polytope, strategy, objective=None, budget=None) -> RunReport:
         point=incumbent_point,
         records=records,
     )
-
-
-def _leaf_count(nodes):
-    return sum(1 for nd in nodes if nd.children is None)
 
 
 def _build_tree(nodes, root):

@@ -1,0 +1,101 @@
+"""Differential checks of the exact kernel against plain Fraction arithmetic."""
+
+import random
+from fractions import Fraction
+
+from bblab import _kernel
+
+F = Fraction
+
+
+def _gauss_jordan(tab, r, c):
+    """Rational pivot on (r, c): scale row r to a unit entry, eliminate column c."""
+    prow = [v / tab[r][c] for v in tab[r]]
+    return [
+        prow if i == r else [v - row[c] * p for v, p in zip(row, prow)]
+        for i, row in enumerate(tab)
+    ]
+
+
+def test_pivot_update_matches_rational_gauss_jordan():
+    rng = random.Random(20240501)
+    for _ in range(60):
+        m, n = rng.randint(2, 5), rng.randint(3, 7)
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+        den = 1
+        ref = [[F(v) for v in row] for row in rows]
+        used_rows, used_cols = set(), set()
+        for _ in range(min(m, n)):
+            cands = [
+                (r, c)
+                for r in range(m) if r not in used_rows
+                for c in range(n) if c not in used_cols and rows[r][c] != 0
+            ]
+            if not cands:
+                break
+            r, c = rng.choice(cands)
+            used_rows.add(r)
+            used_cols.add(c)
+            pivot_row = list(rows[r])
+            den = _kernel.pivot_update(rows, r, c, den)
+            ref = _gauss_jordan(ref, r, c)
+            assert den == pivot_row[c]
+            assert rows[r] == pivot_row  # the pivot row is left as it was
+            assert [[F(v, den) for v in row] for row in rows] == ref
+
+
+def test_violated_indices_matches_direct_evaluation():
+    rng = random.Random(20240502)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        introws = [
+            [rng.randint(-5, 5) for _ in range(n + 1)] for _ in range(rng.randint(0, 12))
+        ]
+        den = rng.randint(1, 9)
+        nums = [rng.choice((0, rng.randint(-20, 20))) for _ in range(n)]
+        point = [F(v, den) for v in nums]
+        expected = [
+            i for i, row in enumerate(introws)
+            if sum(a * x for a, x in zip(row, point)) > row[n]
+        ]
+        assert _kernel.violated_indices(introws, nums, den) == expected
+
+
+def _first_violated(introws, mask):
+    n = len(introws[0]) - 1 if introws else 0
+    x = [(mask >> j) & 1 for j in range(n)]
+    for i, row in enumerate(introws):
+        if sum(a * v for a, v in zip(row, x)) > row[n]:
+            return i
+    return -1
+
+
+def test_first_violated_mask_matches_direct_evaluation():
+    rng = random.Random(20240503)
+    for _ in range(200):
+        n = rng.randint(1, 10)
+        introws = [
+            [rng.randint(-3, 3) for _ in range(n)] + [rng.randint(-2, 4)]
+            for _ in range(rng.randint(0, 8))
+        ]
+        mask = rng.getrandbits(n)
+        assert _kernel.first_violated_mask(introws, mask) == _first_violated(introws, mask)
+
+
+def test_first_violated_mask_beyond_64_coordinates():
+    n = 70
+    # x_65 + x_69 <= 1 is violated only through coordinates past bit 63
+    high = [0] * n + [1]
+    high[65] = high[69] = 1
+    low = [1] * 64 + [0] * (n - 64) + [64]  # satisfied at every 0/1 point
+    introws = [low, high]
+    for mask, expected in (((1 << 65) | (1 << 69) | 0b1011, 1), (1 << 65, -1)):
+        assert _kernel.first_violated_mask(introws, mask) == expected
+        assert _first_violated(introws, mask) == expected
+    rng = random.Random(20240504)
+    for _ in range(50):
+        introws = [
+            [rng.randint(-2, 2) for _ in range(n)] + [rng.randint(0, 6)] for _ in range(6)
+        ]
+        mask = rng.getrandbits(n) | (1 << rng.randint(64, n - 1))
+        assert _kernel.first_violated_mask(introws, mask) == _first_violated(introws, mask)

@@ -43,6 +43,12 @@ def test_run_bb_budget_exceeded():
     P2 = gen_cross_polytope(CrossSpec(2))
     rep = run_bb(P2, MostFractional(), budget=SearchBudget(max_nodes=1))
     assert rep.status == "budget-exceeded" and rep.nodes == 1
+    rep = run_bb(P2, MostFractional(), budget=SearchBudget(max_leaves=3))
+    assert rep.status == "budget-exceeded"
+    assert rep.nodes == 5 and rep.leaves == 3
+    rep = run_bb(P2, MostFractional(), budget=SearchBudget(max_leaves=4))
+    assert rep.status == "proved-infeasible"
+    assert rep.nodes == 7 and rep.leaves == 4
 
 
 def test_run_bb_internal_disjunctions_cut_their_lp_optima():
@@ -105,6 +111,7 @@ def test_run_bb_tsp_branching_run_and_witness_replay():
         if rep.records[path].pruned == "integral"
     }
     assert witnesses  # at 45 variables the enumeration fallback is unusable
+    assert rep.leaf_witnesses() == witnesses
     replay = solves(rep.tree, T, c, witnesses)
     assert replay.solved
 
