@@ -231,7 +231,9 @@ def solves(tree: BBTree, P: Polytope, c, witnesses=None) -> SolveReport:
     integral leaves (order-free reading).  ``witnesses`` may map leaf index to
     a claimed integral optimum, which is verified rather than rediscovered;
     without one the check falls back to the returned vertex and then to 0/1
-    enumeration (dimension <= 24).
+    enumeration (dimension <= 24).  Beyond that dimension a leaf the
+    enumeration cannot decide is deferred: it passes when the best integral
+    leaf bounds it, and otherwise the DimensionTooLarge is raised again.
     """
     c = rat_vector(c)
     if len(c) != P.dim:
@@ -239,6 +241,7 @@ def solves(tree: BBTree, P: Polytope, c, witnesses=None) -> SolveReport:
     witnesses = witnesses or {}
     atoms = atoms_of(tree, P)
     leaves = []
+    deferred = {}  # leaf index -> the DimensionTooLarge its enumeration raised
     for i, atom in enumerate(atoms):
         ap = atom.polytope()
         out = lp_optimize(ap, c, "max")
@@ -254,7 +257,11 @@ def solves(tree: BBTree, P: Polytope, c, witnesses=None) -> SolveReport:
         if status.status == "open" and _integral(out.point):
             status = LeafSolveStatus("integral", out.value, out.point)
         if status.status == "open":
-            w = _atom_integral_optimum(ap, c, out.value)
+            try:
+                w = _atom_integral_optimum(ap, c, out.value)
+            except DimensionTooLarge as exc:
+                deferred[i] = exc
+                w = None
             if w is not None:
                 status = LeafSolveStatus("integral", out.value, w)
         leaves.append(status)
@@ -266,6 +273,9 @@ def solves(tree: BBTree, P: Polytope, c, witnesses=None) -> SolveReport:
     for st in leaves:
         if st.status == "open" and best is not None and st.value <= best:
             st.status = "bounded"
+    for i, exc in deferred.items():
+        if leaves[i].status == "open":
+            raise exc
     open_leaf = next((i for i, st in enumerate(leaves) if st.status == "open"), None)
     return SolveReport(open_leaf is None, leaves, open_leaf)
 

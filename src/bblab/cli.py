@@ -5,7 +5,8 @@ Every verb reads and writes only the documented JSON/CSV formats; outputs
 are deterministic given the arguments (seeded randomness, sorted CSV rows,
 no timestamps), so files can be diffed and replayed byte-for-byte.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
+error (a failed self-check: a bug, not bad input).
 """
 
 import argparse
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 from . import acceptance
 from .bbtree import BBTree, Disjunction, proves_infeasibility, separates, solves
-from .errors import BBLabError
+from .errors import BBLabError, InternalError
 from .families import (
     CrossSpec,
     PackingSpec,
@@ -43,6 +44,7 @@ from .search import (
 )
 
 USAGE_ERROR = 2
+INTERNAL_ERROR = 3
 
 
 def _write_json(path, obj):
@@ -299,13 +301,14 @@ def build_parser():
         prog="bblab",
         description="exact branch-and-bound laboratory over split disjunctions",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--out", default=None, help="output path ('-' for stdout)")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", default=None, help="output path ('-' for stdout)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[common], help="generate an instance")
+    p = sub.add_parser("gen", parents=[seeded, output], help="generate an instance")
     p.add_argument("--family", required=True,
                    choices=["cross", "packing", "cover", "perturbed", "tsp"])
     p.add_argument("--n", type=int, required=True)
@@ -314,7 +317,7 @@ def build_parser():
     p.add_argument("--with-cover", action="store_true")
     p.set_defaults(fn=cmd_gen)
 
-    p = sub.add_parser("check-tree", parents=[common], help="verify a tree")
+    p = sub.add_parser("check-tree", parents=[seeded, output], help="verify a tree")
     p.add_argument("--polytope", required=True)
     p.add_argument("--tree", required=True)
     p.add_argument("--mode", required=True,
@@ -324,7 +327,7 @@ def build_parser():
     p.add_argument("--report", help="run report JSON supplying leaf witnesses")
     p.set_defaults(fn=cmd_check_tree)
 
-    p = sub.add_parser("run", parents=[common], help="run branch-and-bound")
+    p = sub.add_parser("run", parents=[seeded, output], help="run branch-and-bound")
     p.add_argument("--polytope", required=True)
     p.add_argument("--strategy", default="most-fractional",
                    choices=["most-fractional", "random-general"])
@@ -335,18 +338,17 @@ def build_parser():
     p.add_argument("--tree-out")
     p.set_defaults(fn=cmd_run)
 
-    p = sub.add_parser("min-tree", parents=[common], help="exact minimal proof size")
+    p = sub.add_parser("min-tree", parents=[output], help="exact minimal proof size")
     p.add_argument("--polytope", required=True)
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--max-leaves", type=int, required=True)
     p.set_defaults(fn=cmd_min_tree)
 
-    p = sub.add_parser("experiment", parents=[common], help="CSV growth tables")
+    p = sub.add_parser("experiment", parents=[output], help="CSV growth tables")
     p.add_argument("--config", required=True)
     p.set_defaults(fn=cmd_experiment)
 
-    p = sub.add_parser("verify-paper", parents=[common],
-                       help="run the acceptance suite")
+    p = sub.add_parser("verify-paper", help="run the acceptance suite")
     p.set_defaults(fn=cmd_verify_paper)
     return parser
 
@@ -356,6 +358,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
     except (BBLabError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

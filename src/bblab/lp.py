@@ -22,7 +22,7 @@ from .errors import (
     TooLarge,
 )
 from .polytope import EQ, LE, Polytope
-from .rationals import clear_denominators, dot, rat_vector
+from .rationals import dot, rat_vector
 
 FEASIBLE, INFEASIBLE, OPTIMAL, UNBOUNDED = "feasible", "infeasible", "optimal", "unbounded"
 
@@ -66,7 +66,9 @@ def _point_to_ints(x):
 
 def _polytope_solve(P, objective=None, maximize=True):
     n = P.dim
-    sys_rows = [entry for entry in P.leq_system() if entry[0][0] != "box_lo"]
+    # (ref, int coeffs, int rhs, scale): each row is made integer once, by
+    # its LinearConstraint, and simplex takes the ints as they are.
+    sys_rows = P.int_system()
     split_vars = not P.box  # x >= 0 is native only under the box flag
     oracle = P.oracle
     if oracle is not None and oracle.rows_are_explicit:
@@ -74,7 +76,7 @@ def _polytope_solve(P, objective=None, maximize=True):
 
     always = [
         k
-        for k, (ref, _, _) in enumerate(sys_rows)
+        for k, (ref, _, _, _) in enumerate(sys_rows)
         if len(ref) == 3 or ref[0] == "box_hi"
     ]
     pool = [k for k in range(len(sys_rows)) if k not in set(always)]
@@ -82,29 +84,19 @@ def _polytope_solve(P, objective=None, maximize=True):
         always, pool = always + pool, []
     active = list(always)
     active_set = set(active)
-    if pool:
-        int_pool = {}
-        for k in pool:
-            _, coeffs, rhs = sys_rows[k]
-            ints, _ = clear_denominators(list(coeffs) + [rhs])
-            int_pool[k] = ints
 
-    oracle_rows = []  # activated family rows, as (constraint, coeffs, rhs)
+    oracle_rows = []  # activated family rows, as (ref, coeffs, rhs, scale)
     oracle_cap = 2 * oracle.family_size() if oracle is not None else 0
     rounds = 0
 
     while True:
         rounds += 1
-        refs, rows, rhs = [], [], []
-        for k in active:
-            ref, coeffs, b = sys_rows[k]
-            refs.append(ref)
-            rows.append(list(coeffs) + [-c for c in coeffs] if split_vars else list(coeffs))
-            rhs.append(b)
-        for con, coeffs, b in oracle_rows:
-            refs.append(("oracle", con))
-            rows.append(list(coeffs) + [-c for c in coeffs] if split_vars else list(coeffs))
-            rhs.append(b)
+        entries = [sys_rows[k] for k in active] + oracle_rows
+        rows = [
+            list(coeffs) + [-c for c in coeffs] if split_vars else coeffs
+            for _, coeffs, _, _ in entries
+        ]
+        rhs = [b for _, _, b, _ in entries]
         nv = 2 * n if split_vars else n
         obj = None
         if objective is not None:
@@ -113,7 +105,7 @@ def _polytope_solve(P, objective=None, maximize=True):
                             maximize=maximize, want_farkas=True)
 
         if res.status == "infeasible":
-            cert = _assemble_farkas(P, refs, rows, res.farkas, n, split_vars)
+            cert = _assemble_farkas(P, entries, res.farkas, n, split_vars)
             return LPOutcome(INFEASIBLE, farkas=cert)
         if res.status == "unbounded":
             if P.box:
@@ -132,19 +124,18 @@ def _polytope_solve(P, objective=None, maximize=True):
         new = []
         if pool:
             nums, den = _point_to_ints(x)
-            cand = [
-                k
-                for k in pool
-                if k not in active_set
-            ]
-            introws = [int_pool[k] for k in cand]
+            cand = [k for k in pool if k not in active_set]
+            introws = [(*sys_rows[k][1], sys_rows[k][2]) for k in cand]
             hits = _kernel.violated_indices(introws, nums, den)
             if hits:
+                # Rank by the violation of the row as given, coeffs . x - b,
+                # which is (ints . nums - rhs * den) / (den * scale).
                 scored = []
                 for h in hits:
                     k = cand[h]
-                    _, coeffs, b = sys_rows[k]
-                    scored.append((dot(coeffs, x) - b, k))
+                    _, coeffs, b, scale = sys_rows[k]
+                    excess = sum(a * v for a, v in zip(coeffs, nums)) - b * den
+                    scored.append((Fraction(excess * scale.denominator, scale.numerator), k))
                 scored.sort(key=lambda t: (-t[0], t[1]))
                 new = [k for _, k in scored[:_ADD_BATCH]]
 
@@ -152,12 +143,12 @@ def _polytope_solve(P, objective=None, maximize=True):
         if not new and oracle is not None:
             violated = oracle.find_violated(x)
             if violated is not None:
-                if any(con == violated for con, _, _ in oracle_rows):
+                if any(ref[1] == violated for ref, _, _, _ in oracle_rows):
                     raise InternalError("oracle re-returned an active row")
                 if rounds > oracle_cap:
                     raise InternalError("oracle cutting loop exceeded its cap")
-                (coeffs, b), = violated.as_leq()
-                oracle_new = (violated, coeffs, b)
+                (coeffs, b, scale), = violated.int_leq
+                oracle_new = (("oracle", violated), coeffs, b, scale)
 
         if not new and oracle_new is None:
             status = OPTIMAL if objective is not None else FEASIBLE
@@ -168,31 +159,21 @@ def _polytope_solve(P, objective=None, maximize=True):
             oracle_rows.append(oracle_new)
 
 
-def _assemble_farkas(P, refs, kernel_rows, u, n, split_vars):
-    entries = [(ref, ui) for ref, ui in zip(refs, u) if ui != 0]
+def _assemble_farkas(P, entries, u, n, split_vars):
+    # u multiplies the integer rows; row = ints / scale, so the multiplier
+    # on the row as given is u * scale.
+    cert = [(ref, ui * scale) for (ref, _, _, scale), ui in zip(entries, u) if ui != 0]
     if not split_vars:
         # Kernel guarantees sum u_i a_i >= 0 against x >= 0; fold the slack
         # into multipliers on the implied -x_j <= 0 box rows.
-        combo = [Fraction(0)] * n
-        for ref, ui in entries:
-            coeffs = _ref_coeffs(P, ref)
-            for j in range(n):
-                combo[j] += ui * coeffs[j]
+        nums, den = _point_to_ints(u)
         for j in range(n):
-            if combo[j] > 0:
-                entries.append((("box_lo", j), combo[j]))
-    cert = tuple(entries)
+            combo = sum(w * entries[i][1][j] for i, w in enumerate(nums) if w)
+            if combo > 0:
+                cert.append((("box_lo", j), Fraction(combo, den)))
+    cert = tuple(cert)
     verify_farkas(P, cert)
     return cert
-
-
-def _ref_coeffs(P, ref):
-    if ref[0] == "oracle":
-        con = ref[1]
-        (coeffs, _), = con.as_leq()
-        return coeffs
-    coeffs, _ = P.row_for_ref(ref)
-    return coeffs
 
 
 def _ref_row(P, ref):

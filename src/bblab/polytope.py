@@ -2,6 +2,7 @@
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DimensionMismatch, TooLargeForExplicit
 from .rationals import clear_denominators, dot, rat, rat_str, rat_vector
@@ -49,6 +50,20 @@ class LinearConstraint:
             (self.coeffs, self.rhs),
             (tuple(-c for c in self.coeffs), -self.rhs),
         ]
+
+    @cached_property
+    def int_leq(self):
+        """``as_leq()`` as coprime integer rows, computed once per constraint.
+
+        A list of (coeffs, rhs, scale), one per <= pair: ``coeffs`` is a tuple
+        of ints, and ``coeffs == pair_coeffs * scale`` and
+        ``rhs == pair_rhs * scale`` with ``scale`` a positive Fraction.
+        """
+        out = []
+        for coeffs, rhs in self.as_leq():
+            ints, scale = clear_denominators(list(coeffs) + [rhs])
+            out.append((tuple(ints[:-1]), ints[-1], scale))
+        return out
 
     def normalized(self):
         """Canonical scaling-invariant form, for row-set comparisons.
@@ -162,6 +177,28 @@ class Polytope:
             for j in range(self.dim):
                 e = tuple(-one if t == j else Fraction(0) for t in range(self.dim))
                 out.append((("box_lo", j), e, Fraction(0)))
+        return out
+
+    def int_system(self):
+        """``leq_system()`` without the box_lo rows, as coprime integer rows.
+
+        A list of (ref, coeffs, rhs, scale) in ``leq_system()`` order, with
+        the ints of ``LinearConstraint.int_leq``; box_hi rows are unit rows
+        of plain ints with scale 1.  The LP layer keeps x >= 0 implicit, so
+        box_lo rows are left out.
+        """
+        out = []
+        for i, row in enumerate(self.rows):
+            forms = row.int_leq
+            if row.rel == EQ:
+                out.append((("row", i, "le"), *forms[0]))
+                out.append((("row", i, "ge"), *forms[1]))
+            else:
+                out.append((("row", i), *forms[0]))
+        if self.box:
+            for j in range(self.dim):
+                e = tuple(int(t == j) for t in range(self.dim))
+                out.append((("box_hi", j), e, 1, 1))
         return out
 
     def row_for_ref(self, ref):

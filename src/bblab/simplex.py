@@ -10,6 +10,13 @@ Problem form solved here:
 
     optimize  c . x    subject to    rows[i] . x  (<=|=)  rhs[i],   x >= 0.
 
+Each row becomes a coprime integer row once, on entry; rows that are
+already all ints are taken as they are (after dividing out their gcd), so
+no Fraction is built for them.  The self-check of the returned point and
+the sign tests of a Farkas certificate are exact integer tests over the
+tableau's common denominator; ``Fraction`` appears only in the returned
+point, value and multipliers.
+
 Callers are responsible for splitting free variables and for presenting
 box upper bounds as rows.  Farkas certificates are available whenever all
 relations are "<=": on infeasibility the returned multipliers u satisfy
@@ -19,6 +26,7 @@ exactly before returning.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from . import _kernel
 from .errors import InternalError
@@ -41,21 +49,16 @@ def solve(nvars, rows, rels, rhs, objective=None, maximize=False, want_farkas=Fa
     if want_farkas and any(r != LE for r in rels):
         raise ValueError("Farkas extraction requires an all-<= system")
 
-    # Integerize each row; remember the positive scale to map multipliers back.
+    # Each row as coprime integers; the positive scale maps multipliers back.
     introws, intrhs, scales = [], [], []
     for i in range(m):
-        ints, scale = clear_denominators(list(rows[i]) + [rhs[i]])
+        ints, scale = _integer_row(list(rows[i]) + [rhs[i]])
         introws.append(ints[:nvars])
         intrhs.append(ints[nvars])
         scales.append(scale)
 
     # Sign-fix so every right-hand side is nonnegative.
-    sigma = [1] * m
-    for i in range(m):
-        if intrhs[i] < 0:
-            introws[i] = [-v for v in introws[i]]
-            intrhs[i] = -intrhs[i]
-            sigma[i] = -1
+    sigma = [1 if b >= 0 else -1 for b in intrhs]
 
     slack_col = {}
     ncols = nvars
@@ -74,8 +77,12 @@ def solve(nvars, rows, rels, rhs, objective=None, maximize=False, want_farkas=Fa
     basis = []
     for i in range(m):
         row = [0] * (ncols + 1)
-        for j in range(nvars):
-            row[j] = introws[i][j]
+        if sigma[i] > 0:
+            row[:nvars] = introws[i]
+            row[ncols] = intrhs[i]
+        else:
+            row[:nvars] = [-v for v in introws[i]]
+            row[ncols] = -intrhs[i]
         if i in slack_col:
             row[slack_col[i]] = sigma[i]
         if i in art_col:
@@ -83,7 +90,6 @@ def solve(nvars, rows, rels, rhs, objective=None, maximize=False, want_farkas=Fa
             basis.append(art_col[i])
         else:
             basis.append(slack_col[i])
-        row[ncols] = intrhs[i]
         tableau.append(row)
 
     den = 1
@@ -91,12 +97,9 @@ def solve(nvars, rows, rels, rhs, objective=None, maximize=False, want_farkas=Fa
     # Phase-2 objective row, maintained through both phases: minimize c2 . x.
     p2 = None
     if objective is not None:
-        c2, _ = clear_denominators(objective)
-        if maximize:
-            c2 = [-v for v in c2]
+        c, cscale = _integer_row(list(objective))
         p2 = [0] * (ncols + 1)
-        for j in range(nvars):
-            p2[j] = c2[j]
+        p2[:nvars] = [-v for v in c] if maximize else c
 
     state = {"den": den, "pivots": 0}
 
@@ -149,7 +152,7 @@ def solve(nvars, rows, rels, rhs, objective=None, maximize=False, want_farkas=Fa
         if p1[-1] < 0:  # infeasibility measure -p1[-1]/den is positive
             farkas = None
             if want_farkas:
-                farkas = _extract_farkas(p1, state["den"], slack_col, scales, rows, rhs, m)
+                farkas = _extract_farkas(p1, state["den"], slack_col, introws, intrhs, scales)
             return SimplexResult("infeasible", farkas=farkas)
         _drive_out_artificials(tableau, basis, [p for p in (p2,) if p is not None],
                                first_art, state)
@@ -168,17 +171,34 @@ def solve(nvars, rows, rels, rhs, objective=None, maximize=False, want_farkas=Fa
         if status == "unbounded":
             return SimplexResult("unbounded")
 
+    # The point is nums / den; check it against every row before returning.
     den = state["den"]
-    x = [Fraction(0)] * nvars
+    nums = [0] * nvars
     for i, b in enumerate(basis):
         if b < nvars:
-            x[b] = Fraction(tableau[i][-1], den)
-    x = tuple(x)
-    _self_check(x, rows, rels, rhs)
+            nums[b] = tableau[i][-1]
+    _self_check(nums, den, introws, intrhs, rels)
+    x = tuple(Fraction(v, den) for v in nums)
     value = None
     if objective is not None:
-        value = sum((c * v for c, v in zip(objective, x)), Fraction(0))
+        value = Fraction(sum(cj * v for cj, v in zip(c, nums) if v), den)
+        if cscale != 1:
+            value /= cscale
     return SimplexResult("optimal", x=x, value=value)
+
+
+def _integer_row(values):
+    """``values`` as coprime ints, with the positive scale s: ints == values * s.
+
+    An all-int row is only divided by its gcd, with no Fraction built; any
+    other row goes through ``clear_denominators``.  Both give the same ints.
+    """
+    if all(type(v) is int for v in values):
+        g = gcd(*values)
+        if g > 1:
+            return [v // g for v in values], Fraction(1, g)
+        return values, 1
+    return clear_denominators(values)
 
 
 def _negate_all(rows, state):
@@ -208,26 +228,30 @@ def _drive_out_artificials(tableau, basis, objs, first_art, state):
         i += 1
 
 
-def _extract_farkas(p1, den, slack_col, scales, rows, rhs, m):
-    u = [Fraction(0)] * m
-    for i, col in slack_col.items():
-        u[i] = Fraction(p1[col], den) * scales[i]
-    nvars = len(rows[0]) if m else 0
-    if any(ui < 0 for ui in u):
+def _extract_farkas(p1, den, slack_col, introws, intrhs, scales):
+    # The multipliers on the integer rows are w / den with den > 0, so the
+    # certificate's sign tests are exact integer tests on w.
+    m = len(introws)
+    w = [p1[slack_col[i]] for i in range(m)]
+    if any(wi < 0 for wi in w):
         raise InternalError("negative Farkas multiplier")
+    nvars = len(introws[0]) if m else 0
     for j in range(nvars):
-        if sum((u[i] * rows[i][j] for i in range(m)), Fraction(0)) < 0:
+        if sum(w[i] * introws[i][j] for i in range(m) if w[i]) < 0:
             raise InternalError("Farkas combination has a negative coefficient")
-    if sum((u[i] * rhs[i] for i in range(m)), Fraction(0)) >= 0:
+    if sum(w[i] * intrhs[i] for i in range(m) if w[i]) >= 0:
         raise InternalError("Farkas combination does not prove infeasibility")
-    return tuple(u)
+    return tuple(Fraction(wi, den) * s for wi, s in zip(w, scales))
 
 
-def _self_check(x, rows, rels, rhs):
-    for row, rel, b in zip(rows, rels, rhs):
-        lhs = sum((a * v for a, v in zip(row, x)), Fraction(0))
-        ok = lhs <= b if rel == LE else lhs == b
+def _self_check(nums, den, introws, intrhs, rels):
+    # x = nums / den with den > 0 satisfies row . x <= rhs exactly when
+    # row . nums <= rhs * den, and rows are positive multiples of the input.
+    nonzero = [(j, v) for j, v in enumerate(nums) if v]
+    for row, b, rel in zip(introws, intrhs, rels):
+        lhs = sum(row[j] * v for j, v in nonzero)
+        ok = lhs <= b * den if rel == LE else lhs == b * den
         if not ok:
             raise InternalError("simplex returned a point violating a constraint")
-    if any(v < 0 for v in x):
+    if any(v < 0 for _, v in nonzero):
         raise InternalError("simplex returned a negative variable value")

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from bblab import _kernel
 from bblab.bbtree import (
     Atom,
     BBTree,
@@ -18,7 +19,7 @@ from bblab.bbtree import (
     transform_tree,
 )
 from bblab.checkers import enum_integer_points
-from bblab.errors import IllegalDisjunction, PointNotInP
+from bblab.errors import DimensionTooLarge, IllegalDisjunction, PointNotInP
 from bblab.families import CrossSpec, gen_cross_polytope
 from bblab.lp import enum_vertices, verify_farkas
 from bblab.maps import DupSpec, EmbedSpec, FlipSpec, identity_map, make_dup, make_embed, make_flip
@@ -110,6 +111,45 @@ def test_solves_finds_integral_optimum_on_degenerate_face():
     assert rep.solved
     assert rep.leaves[0].status == "integral"
     assert rep.leaves[0].witness == (1, 0)
+
+
+def test_solves_beyond_the_enumeration_cap_defers_to_the_incumbent_bound():
+    # Dimension 25, past the 0/1 enumeration cap.  Row x0 + 2 x1 <= 1: the
+    # left leaf (x0 <= 0) has the fractional optimum x1 = 1/2, which
+    # enumeration cannot check; the right leaf (x0 >= 1) is integral.
+    n = 25
+    P = Polytope(n, (leq_row((1, 2) + (0,) * (n - 2), 1),))
+    t = node(Disjunction((1,) + (0,) * (n - 1), 0), leaf(), leaf())
+    c = (1, 1) + (0,) * (n - 2)  # left: 1/2, right: 1 at (1, 0, ...)
+    rep = solves(t, P, c)
+    assert rep.solved
+    assert [st.status for st in rep.leaves] == ["bounded", "integral"]
+    assert rep.leaves[0].value == F(1, 2) and rep.leaves[1].value == 1
+
+    # No integral leaf bounds the fractional one: enumeration is still needed.
+    c = (-1, 1) + (0,) * (n - 2)  # left: 1/2, right: -1
+    with pytest.raises(DimensionTooLarge):
+        solves(t, P, c)
+
+
+def test_p6_replay_pivot_count_is_pinned(monkeypatch):
+    # The integer rows must leave the pivot sequence as it was: proving P_6
+    # with the full variable tree makes exactly 2,160 pivots and cites 448
+    # certificate entries, the same on every run.
+    real = _kernel.pivot_update
+    for _ in range(2):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(_kernel, "pivot_update", counted)
+        rep = proves_infeasibility(full_variable_tree(6),
+                                   gen_cross_polytope(CrossSpec(6, "oracle")))
+        assert rep.proved
+        assert len(calls) == 2160
+        assert sum(len(cert) for cert in rep.certificates) == 448
 
 
 def test_enum_integer_points_through_equality_rows():

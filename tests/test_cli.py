@@ -206,3 +206,38 @@ def test_usage_errors_exit_2(tmp_path):
     with pytest.raises(SystemExit) as err:
         run_cli("gen", "--family", "nope", "--n", "2")
     assert err.value.code == 2
+
+
+def test_options_a_verb_does_not_read_are_usage_errors(tmp_path):
+    # --out only where a verb writes a file, --seed only where it draws one
+    for argv in (
+        ["verify-paper", "--out", str(tmp_path / "x.json")],
+        ["verify-paper", "--seed", "9"],
+        ["min-tree", "--polytope", "p.json", "--M", "2", "--max-leaves", "4", "--seed", "1"],
+        ["experiment", "--config", "c.json", "--seed", "1"],
+    ):
+        with pytest.raises(SystemExit) as err:
+            run_cli(*argv)
+        assert err.value.code == 2
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
+    from bblab import _kernel
+
+    p = tmp_path / "p.json"
+    t = tmp_path / "t.json"
+    run_cli("gen", "--family", "cross", "--n", "1", "--out", str(p))
+    t.write_text(json.dumps(BBTree().to_json()))
+    real = _kernel.pivot_update
+
+    def corrupted(rows, r, c, den):
+        new_den = real(rows, r, c, den)
+        rows[r][-1] += new_den  # the entering variable's value goes up by one
+        return new_den
+
+    monkeypatch.setattr(_kernel, "pivot_update", corrupted)
+    assert run_cli("check-tree", "--polytope", str(p), "--tree", str(t),
+                   "--mode", "infeasibility", "--out", str(tmp_path / "c.json")) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: simplex returned a point violating a constraint\n"

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from bblab import simplex
 from bblab.errors import EmptyList, NotSeparable
 from bblab.families import CrossSpec, PackingSpec, gen_cross_polytope, gen_packing_family
 from bblab.lp import (
@@ -16,9 +17,9 @@ from bblab.lp import (
     verify_farkas,
 )
 from bblab.polytope import LinearConstraint, Polytope, eq_row, geq_row, leq_row
-from bblab.rationals import dot, rat_vector
+from bblab.rationals import clear_denominators, dot, rat_vector
 
-from _oracles import brute_in_hull_of_union
+from _oracles import brute_in_hull_of_union, brute_lp
 
 F = Fraction
 
@@ -198,3 +199,132 @@ def test_feasible_points_satisfy_rows_exactly():
             assert P.contains(out.point)
         else:
             verify_farkas(P, out.farkas)
+
+
+def _random_row(rng, n, rel=None):
+    return LinearConstraint(
+        tuple(F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)),
+        rel or rng.choice(["<=", "<=", ">=", "="]),
+        F(rng.randint(-2, 8), rng.randint(1, 3)),
+    )
+
+
+def test_constraint_int_form_is_clear_denominators_of_each_leq_pair():
+    rng = random.Random(61)
+    for _ in range(60):
+        row = _random_row(rng, rng.randint(1, 5))
+        forms = row.int_leq
+        pairs = row.as_leq()
+        assert len(forms) == len(pairs)
+        for (coeffs, rhs, scale), (pair_coeffs, pair_rhs) in zip(forms, pairs):
+            ints, want_scale = clear_denominators(list(pair_coeffs) + [pair_rhs])
+            assert list(coeffs) + [rhs] == ints and scale == want_scale
+            assert all(type(v) is int for v in coeffs) and type(rhs) is int
+        assert row.int_leq is forms  # made once, kept on the constraint
+
+
+def test_polytope_int_system_matches_leq_system_without_box_lo():
+    rng = random.Random(62)
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        rows = tuple(_random_row(rng, n) for _ in range(rng.randint(0, 5)))
+        P = Polytope(n, rows, box=rng.random() < 0.7)
+        want = [entry for entry in P.leq_system() if entry[0][0] != "box_lo"]
+        got = P.int_system()
+        assert [entry[0] for entry in got] == [entry[0] for entry in want]
+        for (_, coeffs, rhs, scale), (_, want_coeffs, want_rhs) in zip(got, want):
+            assert all(type(v) is int for v in coeffs) and type(rhs) is int
+            ints, want_scale = clear_denominators(list(want_coeffs) + [want_rhs])
+            assert list(coeffs) + [rhs] == ints and scale == want_scale
+
+
+def _brute(P, c):
+    """(status, max c.x) over P by vertex enumeration of its explicit rows."""
+    system = [(coeffs, b) for ref, coeffs, b in P.materialized().leq_system()
+              if ref[0] != "box_lo"]  # brute_lp adds x >= 0 itself
+    return brute_lp(P.dim, [s[0] for s in system], [s[1] for s in system], objective=c)
+
+
+def _agrees_with_brute(P, rng):
+    c = tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(P.dim))
+    want_status, want_value = _brute(P, c)
+    feas = lp_feasible(P)
+    opt = lp_optimize(P, c, "max")
+    if want_status == "infeasible":
+        assert feas.status == opt.status == "infeasible"
+        verify_farkas(P, feas.farkas)
+        verify_farkas(P, opt.farkas)
+    else:
+        assert feas.status == "feasible" and P.contains(feas.point)
+        assert opt.status == "optimal" and opt.value == want_value
+        assert P.contains(opt.point) and dot(c, opt.point) == want_value
+    return want_status
+
+
+def test_lp_agrees_with_brute_force_on_explicit_rows():
+    rng = random.Random(63)
+    statuses = set()
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        rows = tuple(_random_row(rng, n) for _ in range(rng.randint(1, 4)))
+        statuses.add(_agrees_with_brute(Polytope(n, rows), rng))
+    # more than 48 <=-rows: the lazy pool, its integer scan and its scoring
+    for _ in range(3):
+        rows = tuple(_random_row(rng, 2, "<=") for _ in range(55))
+        statuses.add(_agrees_with_brute(Polytope(2, rows), rng))
+    assert statuses == {"optimal", "infeasible"}
+
+
+def test_lp_agrees_with_brute_force_on_oracle_rows():
+    rng = random.Random(64)
+    statuses = set()
+    for _ in range(12):
+        if rng.random() < 0.5:
+            P = gen_cross_polytope(CrossSpec(rng.randint(2, 3), "oracle"))
+        else:
+            P = gen_packing_family(PackingSpec(4, 2, with_cover=rng.random() < 0.5,
+                                               mode="oracle"))
+        # branching-style rows with integer data, as atoms carry them
+        extra = tuple(
+            LinearConstraint(tuple(rng.randint(-1, 1) for _ in range(P.dim)),
+                             rng.choice(["<=", ">="]), rng.randint(-1, 1))
+            for _ in range(rng.randint(0, 2))
+        )
+        statuses.add(_agrees_with_brute(P.with_rows(extra), rng))
+    assert statuses == {"optimal", "infeasible"}
+
+
+def test_pool_activates_the_most_violated_rows_as_fraction_scoring_does(monkeypatch):
+    # Each cutting round adds the (at most 8) pool rows most violated at the
+    # last LP point, ties by row index.  Rank them here with Fraction
+    # arithmetic on the rows as given and compare with what the LP added.
+    def normal(coeffs, b):
+        return clear_denominators(list(coeffs) + [b])[0]
+
+    real = simplex.solve
+    rng = random.Random(65)
+    checked = 0
+    for _ in range(4):
+        rows = tuple(_random_row(rng, 2, "<=") for _ in range(55))
+        P = Polytope(2, rows)
+        rounds = []
+
+        def spy(nvars, kernel_rows, rels, rhs, **kwargs):
+            res = real(nvars, kernel_rows, rels, rhs, **kwargs)
+            rounds.append(([normal(r, b) for r, b in zip(kernel_rows, rhs)], res))
+            return res
+
+        monkeypatch.setattr(simplex, "solve", spy)
+        lp_feasible(P)
+        monkeypatch.setattr(simplex, "solve", real)
+        active = set()
+        for (prev_rows, prev), (cur_rows, _) in zip(rounds, rounds[1:]):
+            assert cur_rows[: len(prev_rows)] == prev_rows
+            excess = [(dot(r.coeffs, prev.x) - r.rhs, k) for k, r in enumerate(rows)
+                      if k not in active]
+            top = sorted((t for t in excess if t[0] > 0), key=lambda t: (-t[0], t[1]))[:8]
+            assert cur_rows[len(prev_rows):] == [normal(rows[k].coeffs, rows[k].rhs)
+                                                 for _, k in top]
+            active.update(k for _, k in top)
+            checked += len(top)
+    assert checked > 8

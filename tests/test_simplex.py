@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from bblab import simplex
+from bblab import _kernel, simplex
+from bblab.errors import InternalError
 from bblab.polytope import EQ, LE
 
 from _oracles import brute_lp
@@ -93,3 +95,85 @@ def test_equality_rows_and_degenerate_pivots():
     r = simplex.solve(2, [[1, 1], [2, 2]], [EQ, EQ], [1, 2],
                       objective=[1, 0], maximize=True)
     assert r.status == "optimal" and r.value == 1
+
+
+def _scaled(rows, rhs, factors):
+    return ([[f * a for a in row] for row, f in zip(rows, factors)],
+            [f * b for b, f in zip(rhs, factors)])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_scaled_and_integer_rows_give_the_same_answer(seed):
+    # Rows given as Fractions, as positive rational multiples of themselves,
+    # and as all-int rows (the path that builds no Fraction) must produce
+    # the same pivots, hence the same status, point and value; multipliers
+    # map back through the factors and check exactly against the originals.
+    rng = random.Random(4200 + seed)
+    infeasible = 0
+    for _ in range(40):
+        nvars = rng.randint(1, 3)
+        rows, rhs = random_leq_instance(rng, nvars, rng.randint(1, 4))
+        c = [frac(rng) for _ in range(nvars)]
+        m = len(rows)
+        ratio = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(m)]
+        # per row: the lcm of its denominators times a random int, so the
+        # int rows are generally not coprime
+        lcm = [1] * m
+        for i in range(m):
+            for v in list(rows[i]) + [rhs[i]]:
+                lcm[i] = lcm[i] * v.denominator // gcd(lcm[i], v.denominator)
+            lcm[i] *= rng.randint(1, 5)
+        srows, srhs = _scaled(rows, rhs, ratio)
+        irows, irhs = _scaled(rows, rhs, lcm)
+        irows = [[int(a) for a in row] for row in irows]
+        irhs = [int(b) for b in irhs]
+        base = simplex.solve(nvars, rows, [LE] * m, rhs, objective=c,
+                             maximize=True, want_farkas=True)
+        for r2, b2, f in ((srows, srhs, ratio), (irows, irhs, lcm)):
+            got = simplex.solve(nvars, r2, [LE] * m, b2, objective=c,
+                                maximize=True, want_farkas=True)
+            assert (got.status, got.x, got.value) == (base.status, base.x, base.value)
+            if got.status != "infeasible":
+                continue
+            u = [ui * fi for ui, fi in zip(got.farkas, f)]
+            assert tuple(u) == base.farkas
+            assert all(ui >= 0 for ui in u)
+            for j in range(nvars):
+                assert sum(u[i] * rows[i][j] for i in range(m)) >= 0
+            assert sum(u[i] * rhs[i] for i in range(m)) < 0
+        infeasible += base.status == "infeasible"
+    assert infeasible > 0
+
+
+def _corrupting(monkeypatch, corrupt):
+    real = _kernel.pivot_update
+
+    def pivot_update(rows, r, c, den):
+        new_den = real(rows, r, c, den)
+        corrupt(rows, r, new_den)
+        return new_den
+
+    monkeypatch.setattr(_kernel, "pivot_update", pivot_update)
+
+
+def test_corrupted_pivot_fails_the_integer_self_check(monkeypatch):
+    def bump_pivot_rhs(rows, r, den):
+        rows[r][-1] += den  # the entering variable's value goes up by one
+
+    _corrupting(monkeypatch, bump_pivot_rhs)
+    with pytest.raises(InternalError, match="violating a constraint"):
+        simplex.solve(1, [[1]], [LE], [1], objective=[1], maximize=True)
+    with pytest.raises(InternalError, match="violating a constraint"):
+        simplex.solve(2, [[Fraction(1, 2), 1], [1, 0]], [LE, LE], [1, Fraction(1, 3)],
+                      objective=[1, 1], maximize=True)
+
+
+def test_corrupted_pivot_fails_the_integer_farkas_check(monkeypatch):
+    # Columns are x, the two slacks, the artificial and the rhs; the last
+    # row is the phase-1 objective, whose slack entries are the multipliers.
+    def drop_first_multiplier(rows, r, den):
+        rows[-1][1] = 0
+
+    _corrupting(monkeypatch, drop_first_multiplier)
+    with pytest.raises(InternalError, match="Farkas"):
+        simplex.solve(1, [[1], [-1]], [LE, LE], [0, -1], want_farkas=True)
