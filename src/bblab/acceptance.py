@@ -3,8 +3,8 @@
 Every criterion is implemented literally; each returns (passed, message).
 Trees and certificates produced along the way are collected in a registry
 and re-verified through the independent checker path by the final
-criterion.  ``run_all`` prints one PASS/FAIL line per criterion and is
-what both the CLI verb and tests/test_acceptance.py call.
+criterion.  ``run_all`` prints one PASS/FAIL line per criterion, and its
+wall time to stderr; the CLI verb calls it.
 
 Criterion 3 asserts that the separation resistance of the center of the
 2-dimensional cross-polytope is exactly 3 leaves, and that the separating
@@ -13,6 +13,8 @@ section has the analysis of why that bound counts nodes, not leaves.
 """
 
 import random
+import sys
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, comb
@@ -403,16 +405,23 @@ CRITERIA = [
 
 
 def run_all(out=print):
-    """Run every criterion in order; returns 0 iff all pass."""
+    """Run every criterion in order; returns 0 iff all pass.
+
+    Each criterion's wall time goes to stderr, so ``out`` stays
+    deterministic.
+    """
     reg = Registry()
     failures = 0
     for i, (label, fn) in enumerate(CRITERIA, start=1):
+        start = time.perf_counter()
         try:
             ok, msg = fn(reg)
         except BBLabError as exc:
             ok, msg = False, f"error: {exc}"
+        elapsed = time.perf_counter() - start
         tag = "PASS" if ok else "FAIL"
         if not ok:
             failures += 1
         out(f"{tag} criterion {i:2d} [{label}]: {msg}")
+        print(f"criterion {i:2d}: {elapsed:.2f} s", file=sys.stderr)
     return 0 if failures == 0 else 1

@@ -19,6 +19,7 @@ from .errors import (
     DimensionTooLarge,
     IllegalDisjunction,
     PointNotInP,
+    json_field,
 )
 from .lp import in_convex_hull_of_union, lp_feasible, lp_optimize
 from .maps import AffineMap
@@ -108,14 +109,22 @@ class BBTree:
         }
 
     @classmethod
-    def from_json(cls, obj):
-        if obj.get("leaf"):
-            return leaf()
-        return node(
-            Disjunction(tuple(int(v) for v in obj["pi"]), int(obj["pi0"])),
-            cls.from_json(obj["left"]),
-            cls.from_json(obj["right"]),
-        )
+    def from_json(cls, obj, path="tree"):
+        """Parse a tree file; a malformed node raises MalformedInput naming
+        its JSON path, e.g. ``tree.left.right``."""
+        with json_field(path):
+            if obj.get("leaf"):
+                return leaf()
+        with json_field(f"{path}.pi"):
+            pi = tuple(int(v) for v in obj["pi"])
+        with json_field(f"{path}.pi0"):
+            pi0 = int(obj["pi0"])
+        children = []
+        for side in ("left", "right"):
+            with json_field(f"{path}.{side}"):
+                child = obj[side]
+            children.append(cls.from_json(child, f"{path}.{side}"))
+        return node(Disjunction(pi, pi0), *children)
 
 
 def leaf() -> BBTree:

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .lp import affine_rank, lp_feasible, lp_optimize
 from .polytope import EQ, GE, LinearConstraint, Polytope
-from .rationals import clear_denominators, dot, rat_str, rat_vector
+from .rationals import dot, rat_str, rat_vector
 
 HALF = Fraction(1, 2)
 
@@ -51,19 +51,16 @@ def enum_integer_points(P: Polytope, first_only=False):
         family = getattr(oracle, "rows", ())
         if P.rows[: len(family)] == tuple(family):
             skip = len(family)
-    introws = []
-    for row in P.rows[skip:]:
-        for coeffs, rhs in row.as_leq():
-            ints, _ = clear_denominators(list(coeffs) + [rhs])
-            introws.append(ints)
+    introws = [
+        (*coeffs, rhs) for row in P.rows[skip:] for coeffs, rhs, _ in row.int_leq
+    ]
     out = []
     for mask in range(2 ** n):
         if _kernel.first_violated_mask(introws, mask) >= 0:
             continue
         point = tuple(mask >> i & 1 for i in range(n))
-        if oracle is not None:
-            if oracle.find_violated(rat_vector(point)) is not None:
-                continue
+        if oracle is not None and oracle.find_violated(point) is not None:
+            continue
         out.append(point)
         if first_only:
             return out
@@ -320,29 +317,32 @@ def half_points_feasible(P: Polytope, s) -> HalfSetCheck:
     For each <=-form row the maximum of the LHS over Half_s is computed
     coordinatewise (forcing the s cheapest halves), so the answer covers the
     whole set without enumeration; a failing row yields an explicit
-    violating half-point witness.
+    violating half-point witness.  The box rows hold on all of {0, 1/2, 1}^n
+    and are not checked.
     """
     P = P.materialized()
     n = P.dim
     if s > n:
         return HalfSetCheck(True)  # Half_s is empty; vacuously feasible
-    entries = list(P.leq_system())
-    for idx, (ref, coeffs, rhs) in enumerate(entries):
-        base = Fraction(0)
-        costs = []
-        for i, a in enumerate(coeffs):
-            best = a if a > 0 else Fraction(0)  # max over {0, a/2, a}
-            base += best
-            costs.append((best - a / 2, i))
-        costs.sort(key=lambda t: (t[0], t[1]))
-        drop = sum((c for c, _ in costs[:s]), Fraction(0))
-        if base - drop > rhs:
+    for row_index, row in enumerate(P.rows):
+        for side, (coeffs, rhs, _) in enumerate(row.int_leq):
+            # In half-units (2x_i in {0, 1, 2}) coordinate i adds 0, a or 2a:
+            # at best 2 max(a, 0), and 2 max(a, 0) - a less when it is a half.
+            base = 0
+            costs = []
+            for a in coeffs:
+                best = 2 * a if a > 0 else 0
+                base += best
+                costs.append(best - a)
+            order = sorted(range(n), key=costs.__getitem__)[:s]
+            if base - sum(costs[i] for i in order) <= 2 * rhs:
+                continue
             witness = [Fraction(1) if a > 0 else Fraction(0) for a in coeffs]
-            for _, i in costs[:s]:
+            for i in order:
                 witness[i] = HALF
             witness = tuple(witness)
-            if dot(coeffs, witness) <= rhs:
+            pair_coeffs, pair_rhs = row.as_leq()[side]
+            if dot(pair_coeffs, witness) <= pair_rhs:
                 raise InternalError("half-point witness does not violate its row")
-            row_index = ref[1] if ref[0] == "row" else None
             return HalfSetCheck(False, row_index, witness)
     return HalfSetCheck(True)

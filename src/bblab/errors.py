@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class BBLabError(Exception):
     pass
@@ -91,3 +93,18 @@ class StrategyStuck(BBLabError):
 
 class InternalError(BBLabError):
     """A self-check inside the exact kernel failed; indicates a bug, not bad input."""
+
+
+class MalformedInput(BBLabError):
+    """A field of an input file has the wrong shape or type; names the field."""
+
+
+@contextmanager
+def json_field(path):
+    """Report a malformed value read inside the block as MalformedInput at ``path``."""
+    try:
+        yield
+    except KeyError as exc:
+        raise MalformedInput(f"{path}: missing field {exc}") from exc
+    except (TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+        raise MalformedInput(f"{path}: {exc}") from exc

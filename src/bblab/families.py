@@ -13,12 +13,13 @@ import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
 from .errors import SpecViolation, TooLarge, TooLargeForExplicit
 from .polytope import EQ, GE, LE, LinearConstraint, Polytope
-from .rationals import rat_str
+from .rationals import point_to_ints, rat_str
 
 _EXPLICIT_CAP = 16  # 2^n explicit rows allowed up to here
 
@@ -221,12 +222,19 @@ def _unit_uniforms(seed, mask, i):
     return (k1 + 0.5) / 2.0 ** 53, (k2 + 0.5) / 2.0 ** 53
 
 
+def _noise_units(seed, sigma, denom, mask, i):
+    """One N(0, sigma^2) draw for row I (bitmask) and column i, as an integer
+    count of 1/denom units; ``sigma`` is a float."""
+    u1, u2 = _unit_uniforms(seed, mask, i)
+    z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+    return round(z * sigma * denom)
+
+
 def gaussian_noise(spec: PerturbedSpec, mask, i) -> Fraction:
     """One N(0, sigma^2) draw for row I (bitmask) and column i, rounded to
     the grid 1/denom.  Deterministic in (seed, I, i)."""
-    u1, u2 = _unit_uniforms(spec.seed, mask, i)
-    z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-    return Fraction(round(z * float(spec.sigma) * spec.denom), spec.denom)
+    units = _noise_units(spec.seed, float(spec.sigma), spec.denom, mask, i)
+    return Fraction(units, spec.denom)
 
 
 class PerturbedHintOracle:
@@ -244,15 +252,19 @@ class PerturbedHintOracle:
     def __init__(self, rows, n):
         self.rows = rows
         self.n = n
-        self._rowset = frozenset(r.normalized() for r in rows)
+
+    @cached_property
+    def _rowset(self):
+        return frozenset(r.normalized() for r in self.rows)
 
     def find_violated(self, point):
-        mask = sum(1 << i for i, v in enumerate(point) if v <= HALF)
+        nums, den = point_to_ints(point)
+        mask = sum(1 << i for i, v in enumerate(nums) if 2 * v <= den)
         row = self.rows[mask]
-        if not row.satisfied_by(point):
+        if not row.holds_at(nums, den):
             return row
         for row in self.rows:
-            if not row.satisfied_by(point):
+            if not row.holds_at(nums, den):
                 return row
         return None
 
@@ -273,19 +285,18 @@ def gen_perturbed_cross(spec: PerturbedSpec) -> Polytope:
     """The cross-polytope with iid N(0, 1/20^2) noise on each coefficient and
     right-hand side 1.6n/20; deterministic in the seed, coefficients rounded
     to multiples of 1/2^20."""
-    n = spec.n
+    n, seed, denom = spec.n, spec.seed, spec.denom
+    sigma = float(spec.sigma)
+    rhs = spec.rhs
     rows = []
     for mask in range(2 ** n):
         coeffs = []
-        shift = 0
         for i in range(n):
-            c = 1 + gaussian_noise(spec, mask, i)
-            if mask >> i & 1:
-                coeffs.append(c)
-            else:
-                coeffs.append(-c)
-                shift += 1
-        rows.append(LinearConstraint(tuple(coeffs), GE, spec.rhs - shift))
+            # 1 + noise, in 1/denom units
+            c = denom + _noise_units(seed, sigma, denom, mask, i)
+            coeffs.append(Fraction(c if mask >> i & 1 else -c, denom))
+        shift = n - mask.bit_count()
+        rows.append(LinearConstraint(tuple(coeffs), GE, rhs - shift))
     rows = tuple(rows)
     prov = {
         "family": "perturbed-cross",

@@ -11,7 +11,7 @@ exactly before being returned.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd
+from math import comb
 
 from . import _kernel, simplex
 from .errors import (
@@ -22,7 +22,7 @@ from .errors import (
     TooLarge,
 )
 from .polytope import EQ, LE, Polytope
-from .rationals import dot, rat_vector
+from .rationals import dot, point_to_ints, rat_vector
 
 FEASIBLE, INFEASIBLE, OPTIMAL, UNBOUNDED = "feasible", "infeasible", "optimal", "unbounded"
 
@@ -57,13 +57,6 @@ def lp_optimize(P: Polytope, c, sense="max") -> LPOutcome:
     return _polytope_solve(P, objective=c, maximize=(sense == "max"))
 
 
-def _point_to_ints(x):
-    den = 1
-    for v in x:
-        den = den * v.denominator // gcd(den, v.denominator)
-    return [int(v * den) for v in x], den
-
-
 def _polytope_solve(P, objective=None, maximize=True):
     n = P.dim
     # (ref, int coeffs, int rhs, scale): each row is made integer once, by
@@ -79,7 +72,8 @@ def _polytope_solve(P, objective=None, maximize=True):
         for k, (ref, _, _, _) in enumerate(sys_rows)
         if len(ref) == 3 or ref[0] == "box_hi"
     ]
-    pool = [k for k in range(len(sys_rows)) if k not in set(always)]
+    always_set = set(always)
+    pool = [k for k in range(len(sys_rows)) if k not in always_set]
     if len(pool) <= _LAZY_POOL_MIN and oracle is None:
         always, pool = always + pool, []
     active = list(always)
@@ -123,7 +117,7 @@ def _polytope_solve(P, objective=None, maximize=True):
 
         new = []
         if pool:
-            nums, den = _point_to_ints(x)
+            nums, den = point_to_ints(x)
             cand = [k for k in pool if k not in active_set]
             introws = [(*sys_rows[k][1], sys_rows[k][2]) for k in cand]
             hits = _kernel.violated_indices(introws, nums, den)
@@ -166,7 +160,7 @@ def _assemble_farkas(P, entries, u, n, split_vars):
     if not split_vars:
         # Kernel guarantees sum u_i a_i >= 0 against x >= 0; fold the slack
         # into multipliers on the implied -x_j <= 0 box rows.
-        nums, den = _point_to_ints(u)
+        nums, den = point_to_ints(u)
         for j in range(n):
             combo = sum(w * entries[i][1][j] for i, w in enumerate(nums) if w)
             if combo > 0:

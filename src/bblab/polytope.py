@@ -4,8 +4,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import DimensionMismatch, TooLargeForExplicit
-from .rationals import clear_denominators, dot, rat, rat_str, rat_vector
+from .errors import DimensionMismatch, MalformedInput, TooLargeForExplicit, json_field
+from .rationals import clear_denominators, dot, point_to_ints, rat, rat_str, rat_vector
 
 LE, GE, EQ = "<=", ">=", "="
 _RELATIONS = (LE, GE, EQ)
@@ -33,12 +33,16 @@ class LinearConstraint:
         return dot(self.coeffs, point)
 
     def satisfied_by(self, point) -> bool:
-        lhs = self.lhs_at(point)
-        if self.rel == LE:
-            return lhs <= self.rhs
-        if self.rel == GE:
-            return lhs >= self.rhs
-        return lhs == self.rhs
+        if len(point) != self.dim:
+            raise ValueError("point/row length mismatch")
+        return self.holds_at(*point_to_ints(point))
+
+    def holds_at(self, nums, den) -> bool:
+        """Does the row hold at the point nums/den (ints, den > 0)?"""
+        for coeffs, rhs, _ in self.int_leq:
+            if sum(a * v for a, v in zip(coeffs, nums) if v) > rhs * den:
+                return False
+        return True
 
     def as_leq(self):
         """This row as a list of (coeffs, rhs) pairs meaning coeffs.x <= rhs."""
@@ -59,31 +63,27 @@ class LinearConstraint:
         of ints, and ``coeffs == pair_coeffs * scale`` and
         ``rhs == pair_rhs * scale`` with ``scale`` a positive Fraction.
         """
-        out = []
-        for coeffs, rhs in self.as_leq():
-            ints, scale = clear_denominators(list(coeffs) + [rhs])
-            out.append((tuple(ints[:-1]), ints[-1], scale))
-        return out
+        ints, scale = clear_denominators([*self.coeffs, self.rhs])
+        le = (tuple(ints[:-1]), ints[-1], scale)
+        if self.rel == LE:
+            return [le]
+        ge = (tuple(-v for v in le[0]), -le[1], scale)
+        return [ge] if self.rel == GE else [le, ge]
 
     def normalized(self):
         """Canonical scaling-invariant form, for row-set comparisons.
 
         >= rows are rewritten as <=; the row is then scaled so all entries are
         coprime integers (equality rows additionally get a positive leading
-        coefficient).  Returns a (coeffs, rel, rhs) tuple of ints.
+        entry).  Returns a (coeffs, rel, rhs) tuple of ints.
         """
-        if self.rel == GE:
-            coeffs = tuple(-c for c in self.coeffs)
-            rhs = -self.rhs
-            rel = LE
-        else:
-            coeffs, rhs, rel = self.coeffs, self.rhs, self.rel
-        ints, _ = clear_denominators(list(coeffs) + [rhs])
-        if rel == EQ:
-            lead = next((v for v in ints if v != 0), 0)
-            if lead < 0:
-                ints = [-v for v in ints]
-        return tuple(ints[:-1]), rel, ints[-1]
+        coeffs, rhs, _ = self.int_leq[0]
+        if self.rel != EQ:
+            return coeffs, LE, rhs
+        lead = next((v for v in (*coeffs, rhs) if v != 0), 0)
+        if lead < 0:
+            coeffs, rhs, _ = self.int_leq[1]
+        return coeffs, EQ, rhs
 
     def to_json(self):
         return {
@@ -93,8 +93,14 @@ class LinearConstraint:
         }
 
     @classmethod
-    def from_json(cls, obj):
-        return cls(tuple(rat(c) for c in obj["coeffs"]), obj["rel"], rat(obj["rhs"]))
+    def from_json(cls, obj, path="row"):
+        """Parse a row; a malformed field raises MalformedInput naming ``path``."""
+        with json_field(f"{path}.coeffs"):
+            coeffs = tuple(rat(c) for c in obj["coeffs"])
+        with json_field(f"{path}.rhs"):
+            rhs = rat(obj["rhs"])
+        with json_field(f"{path}.rel"):
+            return cls(coeffs, obj["rel"], rhs)
 
 
 def leq_row(coeffs, rhs):
@@ -145,9 +151,10 @@ class Polytope:
         point = rat_vector(point)
         if len(point) != self.dim:
             raise DimensionMismatch("point/polytope dimension mismatch")
-        if self.box and not all(0 <= x <= 1 for x in point):
+        nums, den = point_to_ints(point)
+        if self.box and not all(0 <= v <= den for v in nums):
             return False
-        if not all(r.satisfied_by(point) for r in self.rows):
+        if not all(r.holds_at(nums, den) for r in self.rows):
             return False
         if self.oracle is not None and self.oracle.find_violated(point) is not None:
             return False
@@ -252,14 +259,26 @@ class Polytope:
 
     @classmethod
     def from_json(cls, obj):
+        """Parse a polytope file; a malformed field raises MalformedInput
+        naming its JSON path, e.g. ``rows[0].coeffs``."""
+        if not isinstance(obj, dict):
+            raise MalformedInput("polytope: not a JSON object")
         oracle = None
         if "oracle" in obj:
             from .families import oracle_from_json
 
-            oracle = oracle_from_json(obj["oracle"])
+            with json_field("oracle"):
+                oracle = oracle_from_json(obj["oracle"])
+        with json_field("dim"):
+            dim = int(obj["dim"])
+        with json_field("rows"):
+            raw_rows = list(obj.get("rows", []))
+        rows = tuple(
+            LinearConstraint.from_json(r, f"rows[{i}]") for i, r in enumerate(raw_rows)
+        )
         return cls(
-            int(obj["dim"]),
-            tuple(LinearConstraint.from_json(r) for r in obj.get("rows", [])),
+            dim,
+            rows,
             box=bool(obj.get("box", True)),
             oracle=oracle,
             provenance=obj.get("provenance"),

@@ -1,8 +1,11 @@
 """Helpers for exact rational values and their "p/q" string form.
 
 Every number that crosses a file-format boundary is a string "p" or "p/q";
-in memory everything is a ``fractions.Fraction`` (or a plain int where the
-value is known integral, e.g. disjunction coefficients).
+in memory every public value is a ``fractions.Fraction`` (or a plain int
+where the value is known integral, e.g. disjunction coefficients).  Hot loops
+work on ints instead: a row is scaled once to coprime integers
+(``clear_denominators``) and a point is put over its least common
+denominator (``point_to_ints``).
 """
 
 from fractions import Fraction
@@ -44,20 +47,25 @@ def dot(a, b):
     return total
 
 
+def point_to_ints(values):
+    """A rational vector as integer numerators over their least common
+    denominator: (nums, den) with den > 0 and values == [v / den for v in nums].
+    """
+    den = 1
+    for v in values:
+        d = v.denominator
+        den = den * d // gcd(den, d)
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def clear_denominators(values):
     """Scale a rational vector to coprime integers; returns (ints, scale).
 
-    ``scale`` is the positive rational with ints == [v * scale for v in values].
+    ``values`` holds ints and Fractions.  ``scale`` is the positive rational
+    with ints == [v * scale for v in values].
     """
-    fracs = [Fraction(v) for v in values]
-    lcm = 1
-    for f in fracs:
-        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    ints = [int(f * lcm) for f in fracs]
-    g = 0
-    for k in ints:
-        g = gcd(g, k)
+    ints, lcm = point_to_ints(values)
+    g = gcd(*ints)
     if g > 1:
-        ints = [k // g for k in ints]
-        return ints, Fraction(lcm, g)
+        return [k // g for k in ints], Fraction(lcm, g)
     return ints, Fraction(lcm)

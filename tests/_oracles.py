@@ -3,10 +3,13 @@
 These deliberately avoid the simplex code path: LPs are decided by
 enumerating candidate basic points from row subsets and taking exact
 maxima, which is the stated reference semantics for small dimensions.
+The 0/1 and half-point oracles evaluate each row's ``as_leq()`` pairs with
+``Fraction`` dot products, never the integer row forms (``int_leq``,
+``satisfied_by``, ``contains``) that the checkers run on.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from bblab.lp import solve_square
 from bblab.rationals import dot
@@ -58,3 +61,45 @@ def brute_in_hull_of_union(xstar, atom_vertex_sets):
     if not pool:
         return False
     return convex_weights(xstar, pool) is not None
+
+
+def _fraction_pairs(P):
+    """(row index, pair index, coeffs, rhs) for every <=-pair of P's rows,
+    oracle families expanded."""
+    rows = P.materialized().rows
+    return [
+        (i, k, coeffs, rhs)
+        for i, row in enumerate(rows)
+        for k, (coeffs, rhs) in enumerate(row.as_leq())
+    ]
+
+
+def brute_integer_points(P):
+    """All 0/1 points of P in mask order, as tuples of ints."""
+    pairs = _fraction_pairs(P)
+    out = []
+    for mask in range(2 ** P.dim):
+        point = tuple(mask >> i & 1 for i in range(P.dim))
+        x = tuple(Fraction(v) for v in point)
+        if all(dot(coeffs, x) <= rhs for _, _, coeffs, rhs in pairs):
+            out.append(point)
+    return out
+
+
+def brute_half_points_feasible(P, s):
+    """The first <=-pair (in row order) that some point of {0, 1/2, 1}^n with
+    at least s half coordinates violates, as (row index, pair index, the
+    pair's maximum over those points); None when every such point is in P.
+    """
+    half = Fraction(1, 2)
+    points = [
+        p for p in product((Fraction(0), half, Fraction(1)), repeat=P.dim)
+        if sum(1 for v in p if v == half) >= s
+    ]
+    if not points:
+        return None
+    for i, k, coeffs, rhs in _fraction_pairs(P):
+        best = max(dot(coeffs, p) for p in points)
+        if best > rhs:
+            return i, k, best
+    return None

@@ -26,12 +26,16 @@ from bblab.errors import (
 from bblab.families import (
     CrossSpec,
     PackingSpec,
+    PerturbedSpec,
     gen_cross_polytope,
     gen_packing_family,
+    gen_perturbed_cross,
 )
 from bblab.lp import convex_weights, lp_optimize
-from bblab.polytope import Polytope, leq_row
+from bblab.polytope import LinearConstraint, Polytope, leq_row
 from bblab.rationals import dot, rat_vector
+
+from _oracles import brute_half_points_feasible, brute_integer_points
 
 F = Fraction
 HALF = F(1, 2)
@@ -218,3 +222,64 @@ def test_half_points_feasible_on_cross_polytope():
     for n in (3, 5):
         P = gen_cross_polytope(CrossSpec(n))
         assert half_points_feasible(P, 1).holds
+
+
+def _differential_inputs():
+    """Polytopes for the checker-versus-brute-force tests: random rational
+    rows of every relation, cross (explicit and oracle), packing with and
+    without the cover row, and perturbed cross-polytopes with sigma = 1/3,
+    whose noise is large enough that some have 0/1 points and some have
+    violated half-points."""
+    rng = random.Random(67)
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        rows = tuple(
+            LinearConstraint(
+                tuple(rng.choice([0, rng.randint(-3, 3), F(rng.randint(-7, 7), rng.randint(1, 5))])
+                      for _ in range(n)),
+                rng.choice(["<=", ">=", "="]),
+                F(rng.randint(-4, 10), rng.randint(1, 4)),
+            )
+            for _ in range(rng.randint(1, 4))
+        )
+        yield Polytope(n, rows)
+    for n in (2, 3, 4):
+        yield gen_cross_polytope(CrossSpec(n))
+        yield gen_cross_polytope(CrossSpec(n, "oracle"))
+    for n, k in ((4, 2), (5, 2)):
+        yield gen_packing_family(PackingSpec(n, k))
+        yield gen_packing_family(PackingSpec(n, k, with_cover=True))
+    for n, seed in ((3, 0), (3, 2), (4, 0), (4, 1), (5, 0), (6, 3)):
+        yield gen_perturbed_cross(PerturbedSpec(n, seed=seed, sigma=F(1, 3)))
+
+
+def test_enum_integer_points_matches_fraction_brute_force():
+    sizes = set()
+    for P in _differential_inputs():
+        want = brute_integer_points(P)
+        assert enum_integer_points(P) == want
+        assert enum_integer_points(P, first_only=True) == want[:1]
+        sizes.add(min(len(want), 1))
+    assert sizes == {0, 1}
+
+
+def test_half_points_feasible_matches_fraction_brute_force():
+    outcomes = set()
+    for P in _differential_inputs():
+        rows = P.materialized().rows
+        for s in range(P.dim + 2):
+            res = half_points_feasible(P, s)
+            want = brute_half_points_feasible(P, s)
+            outcomes.add(res.holds)
+            assert res.holds == (want is None)
+            if want is None:
+                assert res.row_index is None and res.witness is None
+                continue
+            row_index, side, best = want
+            assert res.row_index == row_index
+            # the witness is a point of Half_s at which the row's LHS is largest
+            assert sum(1 for v in res.witness if v == HALF) >= s
+            assert set(res.witness) <= {F(0), HALF, F(1)}
+            coeffs, rhs = rows[row_index].as_leq()[side]
+            assert dot(coeffs, res.witness) == best > rhs
+    assert outcomes == {True, False}

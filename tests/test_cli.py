@@ -241,3 +241,42 @@ def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
                    "--mode", "infeasibility", "--out", str(tmp_path / "c.json")) == 3
     err = capsys.readouterr().err
     assert err == "internal error: simplex returned a point violating a constraint\n"
+
+
+def test_malformed_polytope_and_tree_files_exit_2_naming_the_field(tmp_path, capsys):
+    p = tmp_path / "p.json"
+    t = tmp_path / "t.json"
+    run_cli("gen", "--family", "cross", "--n", "2", "--out", str(p))
+    good_tree = full_variable_tree(2).to_json()
+    t.write_text(json.dumps(good_tree))
+    bad = json.loads(p.read_text())
+    bad["rows"][0]["coeffs"] = 5
+    bad_p = tmp_path / "bad_p.json"
+    bad_p.write_text(json.dumps(bad))
+    del good_tree["right"]
+    bad_t = tmp_path / "bad_t.json"
+    bad_t.write_text(json.dumps(good_tree))
+    capsys.readouterr()
+    for polytope, tree, field in ((bad_p, t, "rows[0].coeffs"), (p, bad_t, "tree.right")):
+        assert run_cli("check-tree", "--polytope", str(polytope), "--tree", str(tree),
+                       "--mode", "infeasibility", "--out", str(tmp_path / "c.json")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: ") and "Traceback" not in err
+
+
+def test_verify_paper_times_each_criterion_on_stderr(monkeypatch, capsys):
+    from bblab import acceptance
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [
+        ("first", lambda reg: (True, "fine")),
+        ("second", lambda reg: (False, "broken")),
+    ])
+    assert run_cli("verify-paper") == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "PASS criterion  1 [first]: fine\n"
+        "FAIL criterion  2 [second]: broken\n"
+    )
+    lines = captured.err.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["criterion  1", "criterion  2"]
+    assert all(line.endswith(" s") for line in lines)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -18,6 +20,7 @@ from bblab.families import (
     gen_perturbed_cross,
     gen_set_cover,
     gen_tsp_subtour,
+    gaussian_noise,
     tour_point,
     tsp_edges,
 )
@@ -121,6 +124,25 @@ def test_perturbed_determinism_and_exact_fields():
             assert coeff.denominator <= 2 ** 20
     with pytest.raises(TooLarge):
         PerturbedSpec(17, seed=0)
+
+
+def test_perturbed_instance_is_pinned():
+    # The n = 12, seed 0 instance of acceptance criterion 8, as written out by
+    # the all-Fraction generator that the integer-grid one replaced.
+    Q = gen_perturbed_cross(PerturbedSpec(12, seed=0))
+    text = json.dumps(Q.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "42f3db5c29c3a174ec87cfb08b37bb6b455360232140dce23af8411376fd56dc"
+    )
+
+
+def test_perturbed_coefficients_are_one_plus_gaussian_noise():
+    for spec in (PerturbedSpec(4, seed=2), PerturbedSpec(4, seed=7, sigma=F(1, 3))):
+        P = gen_perturbed_cross(spec)
+        for mask, row in enumerate(P.rows):
+            for i, coeff in enumerate(row.coeffs):
+                sign = 1 if mask >> i & 1 else -1
+                assert coeff == sign * (1 + gaussian_noise(spec, mask, i))
 
 
 def test_perturbed_coefficients_near_unperturbed_values():

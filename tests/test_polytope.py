@@ -1,13 +1,104 @@
 import json
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from bblab.errors import DimensionMismatch
 from bblab.families import CrossSpec, PerturbedSpec, gen_cross_polytope, gen_perturbed_cross
 from bblab.polytope import LinearConstraint, Polytope, geq_row, leq_row
+from bblab.rationals import clear_denominators, dot, point_to_ints
 
 F = Fraction
+
+
+# The Fraction definitions of the integer row forms, kept here as the
+# reference the integer code must match.
+
+def _fraction_clear_denominators(values):
+    fracs = [Fraction(v) for v in values]
+    lcm = 1
+    for f in fracs:
+        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
+    ints = [int(f * lcm) for f in fracs]
+    g = 0
+    for k in ints:
+        g = gcd(g, k)
+    if g > 1:
+        return [k // g for k in ints], Fraction(lcm, g)
+    return ints, Fraction(lcm)
+
+
+def _fraction_normalized(row):
+    if row.rel == ">=":
+        coeffs, rhs, rel = tuple(-c for c in row.coeffs), -row.rhs, "<="
+    else:
+        coeffs, rhs, rel = row.coeffs, row.rhs, row.rel
+    ints, _ = _fraction_clear_denominators(list(coeffs) + [rhs])
+    if rel == "=":
+        lead = next((v for v in ints if v != 0), 0)
+        if lead < 0:
+            ints = [-v for v in ints]
+    return tuple(ints[:-1]), rel, ints[-1]
+
+
+def _random_entry(rng):
+    return rng.choice([0, 0, rng.randint(-6, 6), F(rng.randint(-9, 9), rng.randint(1, 12))])
+
+
+def _random_rows(rng, count):
+    rows = [
+        LinearConstraint((0, 0, 0), "=", 0),
+        LinearConstraint((0, 0), "=", F(-3, 4)),
+        LinearConstraint((F(-2, 3), 0, 4), "=", F(1, 2)),
+        LinearConstraint((0, F(-5, 2)), "=", -1),
+        LinearConstraint((0, 0), ">=", F(-1, 3)),
+    ]
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        rows.append(LinearConstraint(
+            tuple(_random_entry(rng) for _ in range(n)),
+            rng.choice(["<=", ">=", "="]),
+            _random_entry(rng),
+        ))
+    return rows
+
+
+def test_clear_denominators_and_point_to_ints_match_fraction_definitions():
+    rng = random.Random(71)
+    vectors = [[], [0], [0, 0, 0], [3, F(6, 4), -9], [F(-1, 3), 0, F(1, 6)]]
+    vectors += [[_random_entry(rng) for _ in range(rng.randint(1, 7))] for _ in range(300)]
+    for values in vectors:
+        ints, scale = clear_denominators(values)
+        assert (ints, scale) == _fraction_clear_denominators(values)
+        assert all(type(v) is int for v in ints)
+        nums, den = point_to_ints(values)
+        assert den > 0 and [F(v, den) for v in nums] == [F(v) for v in values]
+
+
+def test_normalized_and_int_leq_match_fraction_definitions():
+    rng = random.Random(72)
+    for row in _random_rows(rng, 300):
+        assert row.normalized() == _fraction_normalized(row)
+        pairs = row.as_leq()
+        assert len(row.int_leq) == len(pairs)
+        for (coeffs, rhs, scale), (pair_coeffs, pair_rhs) in zip(row.int_leq, pairs):
+            ints, want_scale = _fraction_clear_denominators(list(pair_coeffs) + [pair_rhs])
+            assert list(coeffs) + [rhs] == ints and scale == want_scale
+
+
+def test_satisfied_by_matches_fraction_dot_product():
+    rng = random.Random(73)
+    seen = set()
+    for row in _random_rows(rng, 300):
+        for _ in range(4):
+            point = tuple(_random_entry(rng) for _ in range(row.dim))
+            lhs = dot(row.coeffs, [F(v) for v in point])
+            want = {"<=": lhs <= row.rhs, ">=": lhs >= row.rhs, "=": lhs == row.rhs}[row.rel]
+            assert row.satisfied_by(point) == want
+            seen.add(want)
+    assert seen == {True, False}
 
 
 def test_constraint_normalization_is_scaling_invariant():
