@@ -11,14 +11,19 @@ IMPLEMENTATION = "python"
 def pivot_update(rows, r, c, den):
     """One integer-preserving pivot on entry (r, c) of an integer tableau.
 
-    ``rows`` is a list of equal-length int lists representing tableau/den;
-    every row except the pivot row is updated in place via
+    ``rows`` is a list of equal-length int lists representing tableau/den
+    with den > 0; every row except the pivot row is updated in place via
     new = (old * pivot - old_c * pivot_row) // den, which is an exact
-    division.  Returns the new denominator (the old pivot entry).
+    division.  A negative pivot entry is first negated with its whole row,
+    which negates every updated row too: each row then stands for the same
+    rationals over the positive denominator |pivot|, which is returned.
     """
     prow = rows[r]
-    piv = prow[c]
     ncols = len(prow)
+    if prow[c] < 0:
+        for j in range(ncols):
+            prow[j] = -prow[j]
+    piv = prow[c]
     for i in range(len(rows)):
         if i == r:
             continue

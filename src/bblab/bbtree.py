@@ -13,6 +13,7 @@ machine-checkable evidence.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     DimensionMismatch,
@@ -29,13 +30,20 @@ from .rationals import dot, rat_vector
 _ENUM_DIM_CAP = 24
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=1024)
+def _shared_pi(pi):
+    """The stored copy of a normal vector: a tree repeats a few normals
+    over many nodes, so equal ones are kept once."""
+    return pi
+
+
+@dataclass(frozen=True, slots=True)
 class Disjunction:
     pi: tuple
     pi0: int
 
     def __post_init__(self):
-        pi = tuple(int(v) for v in self.pi)
+        pi = _shared_pi(tuple(int(v) for v in self.pi))
         if not any(pi):
             raise IllegalDisjunction("pi must have a nonzero entry")
         object.__setattr__(self, "pi", pi)
@@ -57,7 +65,7 @@ class Disjunction:
         return self.pi0 < val < self.pi0 + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BBTree:
     disjunction: Disjunction | None = None
     left: "BBTree | None" = None
@@ -128,7 +136,11 @@ class BBTree:
 
 
 def leaf() -> BBTree:
-    return BBTree()
+    """The leaf: trees are immutable, so every leaf is this one object."""
+    return _LEAF
+
+
+_LEAF = BBTree()
 
 
 def node(disjunction, left, right) -> BBTree:

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import acceptance
 from .bbtree import BBTree, Disjunction, proves_infeasibility, separates, solves
-from .errors import BBLabError, InternalError
+from .errors import BBLabError, InternalError, MalformedInput, json_field
 from .families import (
     CrossSpec,
     PackingSpec,
@@ -140,10 +140,13 @@ def cmd_check_tree(args):
         witnesses = {}
         if args.report:
             rep_obj = _read_json(args.report)
-            witnesses = {
-                int(i): point_from_json(p)
-                for i, p in rep_obj.get("leaf_witnesses", {}).items()
-            }
+            if not isinstance(rep_obj, dict):
+                raise MalformedInput("report: not a JSON object")
+            with json_field("leaf_witnesses"):
+                witnesses = {
+                    int(i): point_from_json(p)
+                    for i, p in rep_obj.get("leaf_witnesses", {}).items()
+                }
         rep = solves(tree, P, objective, witnesses)
         cert["verdict"] = rep.solved
         cert["objective"] = [rat_str(v) for v in objective]
@@ -230,17 +233,33 @@ def cmd_min_tree(args):
     return 0
 
 
+def _int_list(config, key, default):
+    """``config[key]`` as a list of ints; one int stands for a list of one."""
+    values = config.get(key, default)
+    if not isinstance(values, list):
+        if type(values) is not int:
+            raise MalformedInput(f"{key}: not an integer: {values!r}")
+        return [values]
+    for i, v in enumerate(values):
+        if type(v) is not int:
+            raise MalformedInput(f"{key}[{i}]: not an integer: {v!r}")
+    return values
+
+
 def _experiment_rows(config):
     family = config["family"]
-    ns = config["n"] if isinstance(config["n"], list) else [config["n"]]
-    ks = config.get("k")
-    if ks is not None and not isinstance(ks, list):
-        ks = [ks]
-    seeds = config.get("seeds", [0])
+    ns = _int_list(config, "n", None)
+    ks = None if config.get("k") is None else _int_list(config, "k", None)
+    seeds = _int_list(config, "seeds", [0])
     if family == "perturbed" and not seeds:
         raise ValueError("perturbed family needs a nonempty seed list")
     if not config.get("strategies"):
         raise ValueError("strategy list must not be empty")
+    if not isinstance(config["strategies"], list):
+        raise MalformedInput("strategies: not a list")
+    for i, spec in enumerate(config["strategies"]):
+        with json_field(f"strategies[{i}]"):
+            _make_strategy(spec)
     for n in ns:
         for k in ks or [None]:
             for seed in seeds:
@@ -250,6 +269,8 @@ def _experiment_rows(config):
 
 def cmd_experiment(args):
     config = _read_json(args.config)
+    if not isinstance(config, dict):
+        raise MalformedInput("experiment config: not a JSON object")
     out_path = args.out or config.get("out")
     if out_path is None:
         print("experiment needs an output path", file=sys.stderr)

@@ -11,7 +11,7 @@ exactly before being returned.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 from . import _kernel, simplex
 from .errors import (
@@ -74,7 +74,9 @@ def _polytope_solve(P, objective=None, maximize=True):
     ]
     always_set = set(always)
     pool = [k for k in range(len(sys_rows)) if k not in always_set]
-    if len(pool) <= _LAZY_POOL_MIN and oracle is None:
+    # A small pool is loaded in full, oracle or not: the few branching rows
+    # of a leaf atom then cost one solve, not one solve each.
+    if len(pool) <= _LAZY_POOL_MIN:
         always, pool = always + pool, []
     active = list(always)
     active_set = set(active)
@@ -181,20 +183,33 @@ def _ref_row(P, ref):
 
 
 def verify_farkas(P: Polytope, cert) -> None:
-    """Exact check of an infeasibility certificate; raises InternalError."""
-    n = P.dim
-    combo = [Fraction(0)] * n
-    total = Fraction(0)
-    for ref, mult in cert:
-        if mult < 0:
-            raise InternalError("Farkas multiplier is negative")
+    """Exact check of an infeasibility certificate; raises InternalError.
+
+    Independent of the LP's integer rows: each cited row is read off its
+    own ``as_leq()`` pair (or ``row_for_ref``) and put over its common
+    denominator here, and the multipliers over theirs, so the identities
+    below are tested in integers.
+    """
+    weights, _ = point_to_ints([mult for _, mult in cert])
+    if any(w < 0 for w in weights):
+        raise InternalError("Farkas multiplier is negative")
+    rows = []
+    for ref, _ in cert:
         coeffs, b = _ref_row(P, ref)
-        for j in range(n):
-            combo[j] += mult * coeffs[j]
-        total += mult * b
-    if any(v != 0 for v in combo):
+        rows.append(point_to_ints([*coeffs, b]))
+    row_den = lcm(*(d for _, d in rows))
+    # Row i is ints_i / d_i and its multiplier w_i / den, so the combination
+    # is sum_i w_i * (row_den / d_i) * ints_i over row_den * den > 0.
+    combo = [0] * (P.dim + 1)
+    for w, (ints, d) in zip(weights, rows):
+        if w:
+            k = w * (row_den // d)
+            for j, v in enumerate(ints):
+                if v:
+                    combo[j] += k * v
+    if any(combo[:-1]):
         raise InternalError("Farkas combination is not the zero functional")
-    if total >= 0:
+    if combo[-1] >= 0:
         raise InternalError("Farkas combination has nonnegative rhs")
 
 

@@ -34,10 +34,6 @@ def rat_vector(values):
     return tuple(rat(v) for v in values)
 
 
-def vector_str(values):
-    return [rat_str(v) for v in values]
-
-
 def dot(a, b):
     if len(a) != len(b):
         raise ValueError("dot: length mismatch")

@@ -127,11 +127,9 @@ def solve(nvars, rows, rels, rhs, objective=None, maximize=False, want_farkas=Fa
             state["pivots"] += 1
             if state["pivots"] > _MAX_PIVOTS:
                 raise InternalError("pivot limit exceeded; cycling suspected")
-            combined = tableau + [objrow] + extra_objs
-            state["den"] = _kernel.pivot_update(combined, leave, enter, state["den"])
+            state["den"] = _kernel.pivot_update(tableau + [objrow] + extra_objs,
+                                                leave, enter, state["den"])
             basis[leave] = enter
-            if state["den"] < 0:
-                _negate_all(combined, state)
 
     allowed = [True] * ncols
     for i in art_col.values():
@@ -201,13 +199,6 @@ def _integer_row(values):
     return clear_denominators(values)
 
 
-def _negate_all(rows, state):
-    for row in rows:
-        for j in range(len(row)):
-            row[j] = -row[j]
-    state["den"] = -state["den"]
-
-
 def _drive_out_artificials(tableau, basis, objs, first_art, state):
     # Pivot basic artificials (at value zero) onto structural columns; a row
     # with no structural entry is redundant and dropped.
@@ -220,11 +211,8 @@ def _drive_out_artificials(tableau, basis, objs, first_art, state):
                 del tableau[i]
                 del basis[i]
                 continue
-            combined = tableau + objs
-            state["den"] = _kernel.pivot_update(combined, i, col, state["den"])
+            state["den"] = _kernel.pivot_update(tableau + objs, i, col, state["den"])
             basis[i] = col
-            if state["den"] < 0:
-                _negate_all(combined, state)
         i += 1
 
 

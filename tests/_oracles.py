@@ -5,12 +5,15 @@ enumerating candidate basic points from row subsets and taking exact
 maxima, which is the stated reference semantics for small dimensions.
 The 0/1 and half-point oracles evaluate each row's ``as_leq()`` pairs with
 ``Fraction`` dot products, never the integer row forms (``int_leq``,
-``satisfied_by``, ``contains``) that the checkers run on.
+``satisfied_by``, ``contains``) that the checkers run on.  The Farkas
+oracle re-checks a certificate in ``Fraction`` arithmetic, as
+``lp.verify_farkas`` did before it moved to integers.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
+from bblab.errors import InternalError
 from bblab.lp import solve_square
 from bblab.rationals import dot
 
@@ -103,3 +106,26 @@ def brute_half_points_feasible(P, s):
         if best > rhs:
             return i, k, best
     return None
+
+
+def brute_verify_farkas(P, cert):
+    """Check an infeasibility certificate in Fraction arithmetic; raises
+    InternalError with the same messages as ``lp.verify_farkas``."""
+    combo = [Fraction(0)] * P.dim
+    total = Fraction(0)
+    for ref, mult in cert:
+        if mult < 0:
+            raise InternalError("Farkas multiplier is negative")
+        if ref[0] == "oracle":
+            if P.oracle is None or not P.oracle.is_family_row(ref[1]):
+                raise ValueError("certificate cites a row outside the oracle family")
+            (coeffs, b), = ref[1].as_leq()
+        else:
+            coeffs, b = P.row_for_ref(ref)
+        for j in range(P.dim):
+            combo[j] += mult * coeffs[j]
+        total += mult * b
+    if any(v != 0 for v in combo):
+        raise InternalError("Farkas combination is not the zero functional")
+    if total >= 0:
+        raise InternalError("Farkas combination has nonnegative rhs")

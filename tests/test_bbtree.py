@@ -1,10 +1,11 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from bblab import _kernel
+from bblab import _kernel, lp
 from bblab.bbtree import (
     Atom,
     BBTree,
@@ -45,6 +46,17 @@ def test_tree_shape_accounting():
     assert t.leaf_paths()[0] == "LLL" and t.leaf_paths()[-1] == "RRR"
     with pytest.raises(ValueError):
         BBTree(disjunction=Disjunction((1,), 0))
+
+
+def test_tree_nodes_are_slotted_and_share_one_leaf():
+    t = full_variable_tree(3)
+    d = t.disjunction
+    assert not hasattr(t, "__dict__") and not hasattr(d, "__dict__")
+    assert leaf() is leaf() and BBTree.from_json({"leaf": True}) is leaf()
+    assert leaf() == BBTree() and hash(leaf()) == hash(BBTree())
+    # equal normal vectors are stored once
+    assert full_variable_tree(3).disjunction.pi is d.pi
+    assert Disjunction([1, 0], 0).pi is Disjunction((1, 0), 3).pi
 
 
 def test_tree_json_roundtrip():
@@ -133,9 +145,12 @@ def test_solves_beyond_the_enumeration_cap_defers_to_the_incumbent_bound():
 
 
 def test_p6_replay_pivot_count_is_pinned(monkeypatch):
-    # The integer rows must leave the pivot sequence as it was: proving P_6
-    # with the full variable tree makes exactly 2,160 pivots and cites 448
-    # certificate entries, the same on every run.
+    # Proving P_6 with the full variable tree makes exactly 768 pivots and
+    # cites 448 certificate entries, the same on every run.  Each leaf loads
+    # its six branching rows at once (a pool of at most 48 explicit rows is
+    # never lazy), so it takes 2 solves; the pin was 2,160 while an oracle
+    # made the pool lazy and a leaf added one branching row per solve.
+    P = gen_cross_polytope(CrossSpec(6, "oracle"))
     real = _kernel.pivot_update
     for _ in range(2):
         calls = []
@@ -145,11 +160,18 @@ def test_p6_replay_pivot_count_is_pinned(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(_kernel, "pivot_update", counted)
-        rep = proves_infeasibility(full_variable_tree(6),
-                                   gen_cross_polytope(CrossSpec(6, "oracle")))
+        rep = proves_infeasibility(full_variable_tree(6), P)
         assert rep.proved
-        assert len(calls) == 2160
+        assert len(calls) == 768
         assert sum(len(cert) for cert in rep.certificates) == 448
+
+    # Loading the pool in full cites the same (row, multiplier) pairs as
+    # activating it row by row (the old path); only their order differs.
+    calls.clear()
+    monkeypatch.setattr(lp, "_LAZY_POOL_MIN", -1)
+    lazy = proves_infeasibility(full_variable_tree(6), P)
+    assert len(calls) == 2160
+    assert [Counter(c) for c in rep.certificates] == [Counter(c) for c in lazy.certificates]
 
 
 def test_enum_integer_points_through_equality_rows():

@@ -280,3 +280,32 @@ def test_verify_paper_times_each_criterion_on_stderr(monkeypatch, capsys):
     lines = captured.err.splitlines()
     assert [line.split(":")[0] for line in lines] == ["criterion  1", "criterion  2"]
     assert all(line.endswith(" s") for line in lines)
+
+
+def test_malformed_report_and_experiment_config_exit_2_naming_the_field(tmp_path, capsys):
+    p = tmp_path / "p.json"
+    t = tmp_path / "t.json"
+    rep = tmp_path / "rep.json"
+    run_cli("gen", "--family", "packing", "--n", "4", "--k", "2", "--out", str(p))
+    assert run_cli("run", "--polytope", str(p), "--objective", "ones",
+                   "--out", str(rep), "--tree-out", str(t)) == 0
+    report = json.loads(rep.read_text())
+    report["leaf_witnesses"] = 5
+    rep.write_text(json.dumps(report))
+    cfg = tmp_path / "cfg.json"
+    capsys.readouterr()
+    cases = [
+        (["check-tree", "--polytope", str(p), "--tree", str(t), "--mode", "solves",
+          "--objective", "ones", "--report", str(rep)], "leaf_witnesses", None),
+        (["experiment", "--config", str(cfg)], "n",
+         {"family": "cross", "n": "x", "strategies": [{"kind": "most-fractional"}]}),
+        (["experiment", "--config", str(cfg)], "strategies[0]",
+         {"family": "cross", "n": [2], "strategies": [5]}),
+    ]
+    for argv, field, config in cases:
+        if config is not None:
+            cfg.write_text(json.dumps(config))
+        assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()

@@ -39,9 +39,49 @@ def test_pivot_update_matches_rational_gauss_jordan():
             pivot_row = list(rows[r])
             den = _kernel.pivot_update(rows, r, c, den)
             ref = _gauss_jordan(ref, r, c)
-            assert den == pivot_row[c]
-            assert rows[r] == pivot_row  # the pivot row is left as it was
+            # the new denominator is |pivot|; a negative pivot row is negated
+            sign = 1 if pivot_row[c] > 0 else -1
+            assert den == sign * pivot_row[c] > 0
+            assert rows[r] == [sign * v for v in pivot_row]
             assert [[F(v, den) for v in row] for row in rows] == ref
+
+
+def test_negative_pivots_keep_the_denominator_positive():
+    # Pivot only on negative entries, as driving artificials out of a basis
+    # can; rows with a zero in the pivot column and a pivot equal to -den
+    # take the kernel's shortcut branches.
+    rng = random.Random(20240505)
+    negative = 0
+    for _ in range(80):
+        m, n = rng.randint(2, 5), rng.randint(3, 7)
+        rows = [[rng.choice((0, 0, rng.randint(-5, 5))) for _ in range(n)] for _ in range(m)]
+        rows[0][0] = -rng.randint(1, 3)
+        den = 1
+        ref = [[F(v) for v in row] for row in rows]
+        used_rows, used_cols = set(), set()
+        for _ in range(min(m, n)):
+            cands = [
+                (r, c)
+                for r in range(m) if r not in used_rows
+                for c in range(n) if c not in used_cols and rows[r][c] < 0
+            ]
+            if not cands:
+                break
+            r, c = rng.choice(cands)
+            used_rows.add(r)
+            used_cols.add(c)
+            pivot_row = list(rows[r])
+            den = _kernel.pivot_update(rows, r, c, den)
+            ref = _gauss_jordan(ref, r, c)
+            negative += 1
+            assert den == -pivot_row[c] > 0
+            assert rows[r] == [-v for v in pivot_row]
+            assert [[F(v, den) for v in row] for row in rows] == ref
+    assert negative > 80
+    # |pivot| == den: a row with a zero pivot-column entry is left as it is
+    rows = [[-2, 4, 6], [0, 2, -2], [2, 0, 2]]
+    assert _kernel.pivot_update(rows, 0, 0, 2) == 2
+    assert rows == [[2, -4, -6], [0, 2, -2], [0, 4, 8]]
 
 
 def test_violated_indices_matches_direct_evaluation():

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from bblab import simplex
-from bblab.errors import EmptyList, NotSeparable
+from bblab import lp, simplex
+from bblab.bbtree import Disjunction, full_variable_tree, proves_infeasibility
+from bblab.errors import EmptyList, InternalError, NotSeparable
 from bblab.families import CrossSpec, PackingSpec, gen_cross_polytope, gen_packing_family
 from bblab.lp import (
     affine_rank,
@@ -19,7 +20,7 @@ from bblab.lp import (
 from bblab.polytope import LinearConstraint, Polytope, eq_row, geq_row, leq_row
 from bblab.rationals import clear_denominators, dot, rat_vector
 
-from _oracles import brute_in_hull_of_union, brute_lp
+from _oracles import brute_in_hull_of_union, brute_lp, brute_verify_farkas
 
 F = Fraction
 
@@ -275,15 +276,18 @@ def test_lp_agrees_with_brute_force_on_explicit_rows():
     assert statuses == {"optimal", "infeasible"}
 
 
+def _oracle_polytope(rng):
+    if rng.random() < 0.5:
+        return gen_cross_polytope(CrossSpec(rng.randint(2, 3), "oracle"))
+    return gen_packing_family(PackingSpec(4, 2, with_cover=rng.random() < 0.5,
+                                          mode="oracle"))
+
+
 def test_lp_agrees_with_brute_force_on_oracle_rows():
     rng = random.Random(64)
     statuses = set()
     for _ in range(12):
-        if rng.random() < 0.5:
-            P = gen_cross_polytope(CrossSpec(rng.randint(2, 3), "oracle"))
-        else:
-            P = gen_packing_family(PackingSpec(4, 2, with_cover=rng.random() < 0.5,
-                                               mode="oracle"))
+        P = _oracle_polytope(rng)
         # branching-style rows with integer data, as atoms carry them
         extra = tuple(
             LinearConstraint(tuple(rng.randint(-1, 1) for _ in range(P.dim)),
@@ -328,3 +332,98 @@ def test_pool_activates_the_most_violated_rows_as_fraction_scoring_does(monkeypa
             active.update(k for _, k in top)
             checked += len(top)
     assert checked > 8
+
+
+def _branching_rows(rng, dim, depth):
+    """One side of each of ``depth`` random general disjunctions."""
+    rows = []
+    for _ in range(depth):
+        pi = [0] * dim
+        while not any(pi):
+            pi = [rng.randint(-2, 2) for _ in range(dim)]
+        d = Disjunction(tuple(pi), rng.randint(-2, 2))
+        rows.append(d.left_row() if rng.random() < 0.5 else d.right_row())
+    return tuple(rows)
+
+
+def test_full_and_lazy_pools_agree_on_oracle_polytopes(monkeypatch):
+    # A pool of at most 48 explicit rows is loaded in full even under an
+    # oracle; forcing it lazy (the old path) must not change any answer.
+    rng = random.Random(66)
+    statuses = set()
+    for _ in range(12):
+        P = _oracle_polytope(rng)
+        P = P.with_rows(_branching_rows(rng, P.dim, rng.randint(1, 3)))
+        c = tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(P.dim))
+        want_status, want_value = _brute(P, c)
+        outs = []
+        for pool_min in (lp._LAZY_POOL_MIN, -1):
+            monkeypatch.setattr(lp, "_LAZY_POOL_MIN", pool_min)
+            outs.append((lp_feasible(P), lp_optimize(P, c, "max")))
+        monkeypatch.undo()
+        (full_feas, full_opt), (lazy_feas, lazy_opt) = outs
+        assert full_feas.status == lazy_feas.status
+        assert full_opt.status == lazy_opt.status and full_opt.value == lazy_opt.value
+        for out in (full_feas, full_opt, lazy_feas, lazy_opt):
+            if want_status == "infeasible":
+                assert out.status == "infeasible"
+                verify_farkas(P, out.farkas)
+                brute_verify_farkas(P, out.farkas)
+            else:
+                assert out.feasible and P.contains(out.point)
+        if want_status == "optimal":
+            assert full_opt.value == want_value
+        statuses.add(want_status)
+    assert statuses == {"optimal", "infeasible"}
+
+
+def _verdict(check, P, cert):
+    try:
+        check(P, cert)
+    except InternalError as exc:
+        return str(exc)
+    return None
+
+
+def test_integer_farkas_recheck_agrees_with_the_fraction_recheck():
+    rng = random.Random(67)
+    cases = []
+    for n in (3, 4):  # oracle rows and branching rows, all integer
+        P = gen_cross_polytope(CrossSpec(n, "oracle"))
+        rep = proves_infeasibility(full_variable_tree(n), P)
+        cases += [(a.polytope(), cert) for a, cert in zip(rep.atoms, rep.certificates)]
+    while len(cases) < 60:  # rational rows, box_lo multipliers, no box
+        n = rng.randint(1, 3)
+        P = Polytope(n, tuple(_random_row(rng, n) for _ in range(rng.randint(1, 4))),
+                     box=rng.random() < 0.7)
+        out = lp_feasible(P)
+        if out.status == "infeasible":
+            cases.append((P, out.farkas))
+    rejected = 0
+    for P, cert in cases:
+        assert _verdict(verify_farkas, P, cert) is None
+        assert _verdict(brute_verify_farkas, P, cert) is None
+        i = rng.randrange(len(cert))
+        ref, mult = cert[i]
+        for bad in (mult * F(rng.randint(2, 5), rng.randint(1, 7)), 0, -mult):
+            mutant = cert[:i] + ((ref, bad),) + cert[i + 1:]
+            verdict = _verdict(verify_farkas, P, mutant)
+            assert verdict == _verdict(brute_verify_farkas, P, mutant)
+            rejected += verdict is not None
+    assert rejected > 100
+
+
+def test_verify_farkas_rejects_a_negative_multiplier_and_a_zero_rhs():
+    # x <= 0 and x <= 2: -1 * (x <= 2) + (x <= 0) is 0 <= -2, but a
+    # multiplier may not be negative.
+    P = Polytope(1, (leq_row((1,), 0), leq_row((1,), 2)))
+    cert = ((("row", 0), F(1)), (("row", 1), F(-1)))
+    # x <= 0 plus -x <= 0 is 0 <= 0, which proves nothing.
+    zero_rhs = ((("row", 0), F(1)), (("box_lo", 0), F(1)))
+    for check in (verify_farkas, brute_verify_farkas):
+        with pytest.raises(InternalError, match="multiplier is negative"):
+            check(P, cert)
+        with pytest.raises(InternalError, match="nonnegative rhs"):
+            check(P, zero_rhs)
+        with pytest.raises(InternalError, match="nonnegative rhs"):
+            check(P, ())
