@@ -27,8 +27,6 @@ from .maps import AffineMap
 from .polytope import GE, LE, LinearConstraint, Polytope
 from .rationals import dot, rat_vector
 
-_ENUM_DIM_CAP = 24
-
 
 @lru_cache(maxsize=1024)
 def _shared_pi(pi):
@@ -233,11 +231,6 @@ def _atom_integral_optimum(atom_poly, c, value):
     """Search the 0/1 points of the atom for one attaining the LP value."""
     from .checkers import enum_integer_points
 
-    if atom_poly.dim > _ENUM_DIM_CAP:
-        raise DimensionTooLarge(
-            "cannot enumerate 0/1 points beyond dimension 24; "
-            "supply a per-leaf witness instead"
-        )
     for p in enum_integer_points(atom_poly):
         if dot(rat_vector(p), c) == value:
             return rat_vector(p)

@@ -37,11 +37,11 @@ def enum_integer_points(P: Polytope, first_only=False):
     explicit rows are pre-integerized so each candidate costs integer
     arithmetic only.
     """
-    if not P.box:
-        raise ValueError("enumeration needs the box flag")
     n = P.dim
     if n > _ENUM_DIM_CAP:
         raise DimensionTooLarge(f"0/1 enumeration beyond dim {_ENUM_DIM_CAP}")
+    if not P.box:
+        raise ValueError("enumeration needs the box flag")
     oracle = P.oracle
     # Rows the oracle already answers for exactly are left to it; for
     # hint-style oracles over explicit rows this turns the scan per point

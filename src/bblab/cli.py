@@ -98,8 +98,19 @@ def _parse_objective(text, dim, seed):
             Fraction(rng.randint(-100, 100), rng.randint(1, 10)) for _ in range(dim)
         )
     if text.startswith("@"):
-        return tuple(rat(v) for v in _read_json(text[1:]))
-    return tuple(rat(v) for v in text.split(","))
+        return _rat_list(_read_json(text[1:]), "objective")
+    return _rat_list(text.split(","), "objective")
+
+
+def _rat_list(values, path):
+    """A JSON list of rationals; a bad entry raises MalformedInput naming it."""
+    if not isinstance(values, list):
+        raise MalformedInput(f"{path}: not a list: {values!r}")
+    out = []
+    for i, v in enumerate(values):
+        with json_field(f"{path}[{i}]"):
+            out.append(rat(v))
+    return tuple(out)
 
 
 def _farkas_json(cert):
@@ -233,17 +244,29 @@ def cmd_min_tree(args):
     return 0
 
 
+def _int_value(value, path):
+    if type(value) is not int:
+        raise MalformedInput(f"{path}: not an integer: {value!r}")
+    return value
+
+
 def _int_list(config, key, default):
     """``config[key]`` as a list of ints; one int stands for a list of one."""
     values = config.get(key, default)
     if not isinstance(values, list):
-        if type(values) is not int:
-            raise MalformedInput(f"{key}: not an integer: {values!r}")
-        return [values]
-    for i, v in enumerate(values):
-        if type(v) is not int:
-            raise MalformedInput(f"{key}[{i}]: not an integer: {v!r}")
-    return values
+        return [_int_value(values, key)]
+    return [_int_value(v, f"{key}[{i}]") for i, v in enumerate(values)]
+
+
+def _budget(config):
+    """The config's ``budget`` object as a SearchBudget."""
+    cfg = config.get("budget", {})
+    if not isinstance(cfg, dict):
+        raise MalformedInput(f"budget: not a JSON object: {cfg!r}")
+    return SearchBudget(**{
+        key: _int_value(cfg.get(key, 100_000), f"budget.{key}")
+        for key in ("max_nodes", "max_leaves")
+    })
 
 
 def _experiment_rows(config):
@@ -253,6 +276,8 @@ def _experiment_rows(config):
     seeds = _int_list(config, "seeds", [0])
     if family == "perturbed" and not seeds:
         raise ValueError("perturbed family needs a nonempty seed list")
+    if not isinstance(config.get("objective", ""), str):
+        raise MalformedInput(f"objective: not a string: {config['objective']!r}")
     if not config.get("strategies"):
         raise ValueError("strategy list must not be empty")
     if not isinstance(config["strategies"], list):
@@ -275,11 +300,7 @@ def cmd_experiment(args):
     if out_path is None:
         print("experiment needs an output path", file=sys.stderr)
         return USAGE_ERROR
-    budget_cfg = config.get("budget", {})
-    budget = SearchBudget(
-        max_nodes=budget_cfg.get("max_nodes", 100_000),
-        max_leaves=budget_cfg.get("max_leaves", 100_000),
-    )
+    budget = _budget(config)
     trees_dir = config.get("trees_dir")
     rows = []
     for n, k, seed, strat_spec in _experiment_rows(config):

@@ -11,7 +11,7 @@ exactly before being returned.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from . import _kernel, simplex
 from .errors import (
@@ -22,7 +22,7 @@ from .errors import (
     TooLarge,
 )
 from .polytope import EQ, LE, Polytope
-from .rationals import dot, point_to_ints, rat_vector
+from .rationals import clear_denominators, dot, point_to_ints, rat_vector
 
 FEASIBLE, INFEASIBLE, OPTIMAL, UNBOUNDED = "feasible", "infeasible", "optimal", "unbounded"
 
@@ -245,26 +245,24 @@ def in_convex_hull_of_union(xstar, atoms) -> HullResult:
     rows, rels, rhs = [], [], []
     for v, A in enumerate(atoms):
         base = v * width
-        for ref, coeffs, b in A.leq_system():
-            if ref[0] == "box_lo":
-                continue  # z_v >= 0 is native
-            row = [Fraction(0)] * nv
+        # int_system leaves out the box_lo rows: z_v >= 0 is native.
+        for _, coeffs, b, _ in A.int_system():
+            row = [0] * nv
             row[base] = -b
-            for j in range(n):
-                row[base + 1 + j] = coeffs[j]
+            row[base + 1 : base + 1 + n] = coeffs
             rows.append(row)
             rels.append(LE)
-            rhs.append(Fraction(0))
-    row = [Fraction(0)] * nv
+            rhs.append(0)
+    row = [0] * nv
     for v in range(V):
-        row[v * width] = Fraction(1)
+        row[v * width] = 1
     rows.append(row)
     rels.append(EQ)
-    rhs.append(Fraction(1))
+    rhs.append(1)
     for j in range(n):
-        row = [Fraction(0)] * nv
+        row = [0] * nv
         for v in range(V):
-            row[v * width + 1 + j] = Fraction(1)
+            row[v * width + 1 + j] = 1
         rows.append(row)
         rels.append(EQ)
         rhs.append(xstar[j])
@@ -366,68 +364,58 @@ def affine_rank(points) -> int:
     if any(len(p) != n for p in pts):
         raise DimensionMismatch("points of mixed dimension")
     base = pts[0]
-    matrix = [[p[j] - base[j] for j in range(n)] for p in pts[1:]]
-    return _rank(matrix) + 1
+    rows = [clear_denominators([p[j] - base[j] for j in range(n)])[0] for p in pts[1:]]
+    return _eliminate(rows, n)[0] + 1
 
 
-def _rank(matrix):
-    rows = [list(r) for r in matrix]
-    rank = 0
-    col = 0
-    ncols = len(rows[0]) if rows else 0
-    while rank < len(rows) and col < ncols:
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), -1)
+def _eliminate(rows, ncols):
+    """Fraction-free Gauss-Jordan on the first ``ncols`` columns, in place.
+
+    ``rows`` is a list of equal-length int lists.  Each column's pivot is the
+    first remaining row with a nonzero entry there, swapped into place and
+    applied by ``_kernel.pivot_update``, the simplex's integer-preserving
+    step.  Returns (rank, den): the k-th pivot sits in row k, and every row
+    then stands for itself divided by den > 0.
+    """
+    rank, den = 0, 1
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), -1)
         if pivot < 0:
-            col += 1
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col] / pr[col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
+        den = _kernel.pivot_update(rows, rank, col, den)
         rank += 1
-        col += 1
-    return rank
-
-
-def solve_square(A, b):
-    """Solve an n x n rational system exactly; None if singular."""
-    n = len(A)
-    M = [list(A[i]) + [b[i]] for i in range(n)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if M[i][col] != 0), -1)
-        if pivot < 0:
-            return None
-        M[col], M[pivot] = M[pivot], M[col]
-        pr = M[col]
-        inv = Fraction(1) / pr[col]
-        M[col] = [v * inv for v in pr]
-        pr = M[col]
-        for i in range(n):
-            if i != col and M[i][col] != 0:
-                f = M[i][col]
-                M[i] = [a - f * b2 for a, b2 in zip(M[i], pr)]
-    return tuple(M[i][n] for i in range(n))
+    return rank, den
 
 
 def enum_vertices(P: Polytope, combo_limit=2_000_000):
-    """All vertices of a small explicit polytope, by basis enumeration."""
+    """All vertices of a small explicit polytope, by basis enumeration.
+
+    Each basis of n integer rows (``int_system`` plus the box's x >= 0 rows)
+    is eliminated in integers; its point nums/den is kept when it violates
+    no row, and becomes Fractions only then.
+    """
     P = P.materialized()
-    system = [(coeffs, b) for _, coeffs, b in P.leq_system()]
-    m, n = len(system), P.dim
+    n = P.dim
+    system = [(*coeffs, rhs) for _, coeffs, rhs, _ in P.int_system()]
+    if P.box:
+        system += [(*(-int(t == j) for t in range(n)), 0) for j in range(n)]
+    m = len(system)
     if comb(m, n) > combo_limit:
         raise TooLarge(f"vertex enumeration over C({m},{n}) bases")
     seen = set()
     verts = []
     for subset in combinations(range(m), n):
-        A = [system[i][0] for i in subset]
-        b = [system[i][1] for i in subset]
-        x = solve_square(A, b)
-        if x is None or x in seen:
+        rows = [list(system[i]) for i in subset]
+        rank, den = _eliminate(rows, n)
+        if rank < n:
             continue
-        if all(dot(coeffs, x) <= rhs for coeffs, rhs in system):
-            seen.add(x)
-            verts.append(x)
+        nums = [row[n] for row in rows]
+        g = gcd(den, *nums)
+        key = (tuple(v // g for v in nums), den // g)
+        if key in seen or _kernel.violated_indices(system, nums, den):
+            continue
+        seen.add(key)
+        verts.append(tuple(Fraction(v, den) for v in nums))
     verts.sort()
     return verts

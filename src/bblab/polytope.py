@@ -160,39 +160,17 @@ class Polytope:
             return False
         return True
 
-    def leq_system(self):
-        """The canonical <=-form row system: list of (ref, coeffs, rhs).
-
-        refs: ("row", i) for a <=/>= explicit row, ("row", i, "le"/"ge") for
-        the two sides of an equality, then ("box_hi", j) for x_j <= 1 and
-        ("box_lo", j) for -x_j <= 0 when the box flag is set.  Oracle rows are
-        not enumerated here; certificates carry them inline.
-        """
-        out = []
-        for i, row in enumerate(self.rows):
-            pairs = row.as_leq()
-            if row.rel == EQ:
-                out.append((("row", i, "le"), pairs[0][0], pairs[0][1]))
-                out.append((("row", i, "ge"), pairs[1][0], pairs[1][1]))
-            else:
-                out.append((("row", i), pairs[0][0], pairs[0][1]))
-        if self.box:
-            one = Fraction(1)
-            for j in range(self.dim):
-                e = tuple(one if t == j else Fraction(0) for t in range(self.dim))
-                out.append((("box_hi", j), e, one))
-            for j in range(self.dim):
-                e = tuple(-one if t == j else Fraction(0) for t in range(self.dim))
-                out.append((("box_lo", j), e, Fraction(0)))
-        return out
-
     def int_system(self):
-        """``leq_system()`` without the box_lo rows, as coprime integer rows.
+        """The canonical <=-form row system, as coprime integer rows.
 
-        A list of (ref, coeffs, rhs, scale) in ``leq_system()`` order, with
-        the ints of ``LinearConstraint.int_leq``; box_hi rows are unit rows
-        of plain ints with scale 1.  The LP layer keeps x >= 0 implicit, so
-        box_lo rows are left out.
+        A list of (ref, coeffs, rhs, scale) with the ints of
+        ``LinearConstraint.int_leq``.  refs: ("row", i) for a <=/>= explicit
+        row, ("row", i, "le"/"ge") for the two sides of an equality, then
+        ("box_hi", j) for x_j <= 1, a unit row of plain ints with scale 1,
+        when the box flag is set.  The box's -x_j <= 0 rows (ref
+        ("box_lo", j)) are left out, since the LP layer keeps x >= 0
+        implicit; oracle rows are not enumerated, and certificates carry
+        them inline.
         """
         out = []
         for i, row in enumerate(self.rows):

@@ -285,12 +285,12 @@ class _AtomIndex:
     def __init__(self, P, M):
         self.P = P.materialized()
         self.normals = candidate_normals(P.dim, M)
+        self._base = frozenset(r.normalized() for r in self.P.rows)
         self._empty = {}
         self._window = {}
 
     def key(self, rows):
-        base = [r.normalized() for r in self.P.rows]
-        return frozenset(base + [r.normalized() for r in rows])
+        return self._base.union(r.normalized() for r in rows)
 
     def polytope(self, rows):
         return self.P.with_rows(rows)

@@ -7,15 +7,80 @@ The 0/1 and half-point oracles evaluate each row's ``as_leq()`` pairs with
 ``Fraction`` dot products, never the integer row forms (``int_leq``,
 ``satisfied_by``, ``contains``) that the checkers run on.  The Farkas
 oracle re-checks a certificate in ``Fraction`` arithmetic, as
-``lp.verify_farkas`` did before it moved to integers.
+``lp.verify_farkas`` did before it moved to integers.  Vertices and ranks
+come from a textbook ``Fraction`` Gauss-Jordan elimination, not from the
+integer pivot that ``lp`` runs on.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
 from bblab.errors import InternalError
-from bblab.lp import solve_square
 from bblab.rationals import dot
+
+
+def _gauss_jordan(matrix, ncols):
+    """Reduce a Fraction matrix in place on its first ``ncols`` columns;
+    returns the rank, the k-th pivot (scaled to 1) sitting in row k."""
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, len(matrix)) if matrix[i][col] != 0), -1)
+        if pivot < 0:
+            continue
+        matrix[r], matrix[pivot] = matrix[pivot], matrix[r]
+        inv = 1 / matrix[r][col]
+        matrix[r] = [v * inv for v in matrix[r]]
+        for i in range(len(matrix)):
+            f = matrix[i][col]
+            if i != r and f != 0:
+                matrix[i] = [a - f * b for a, b in zip(matrix[i], matrix[r])]
+        r += 1
+    return r
+
+
+def _solve_square(A, b):
+    """The solution of the n x n system A x = b, or None when A is singular."""
+    n = len(A)
+    M = [[Fraction(v) for v in A[i]] + [Fraction(b[i])] for i in range(n)]
+    if _gauss_jordan(M, n) < n:
+        return None
+    return tuple(M[i][n] for i in range(n))
+
+
+def brute_rref(matrix):
+    """(rank, reduced row echelon form) of a rational matrix, in Fractions."""
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    return _gauss_jordan(rows, len(rows[0]) if rows else 0), rows
+
+
+def brute_rank(matrix):
+    """Rank of a rational matrix, by Fraction Gauss-Jordan elimination."""
+    return brute_rref(matrix)[0]
+
+
+def brute_system(P, box_lo=True):
+    """P's <=-form rows as Fraction (coeffs, rhs) pairs, oracle families
+    expanded: every row's ``as_leq()`` pairs, then x_j <= 1 and (with
+    ``box_lo``) -x_j <= 0 when P has the box flag."""
+    system = [(coeffs, rhs) for _, _, coeffs, rhs in _fraction_pairs(P)]
+    if P.box:
+        unit = [tuple(Fraction(int(t == j)) for t in range(P.dim)) for j in range(P.dim)]
+        system += [(e, Fraction(1)) for e in unit]
+        if box_lo:
+            system += [(tuple(-v for v in e), Fraction(0)) for e in unit]
+    return system
+
+
+def brute_vertices(P):
+    """All vertices of P in sorted order: every n-row basis of
+    ``brute_system(P)`` solved in Fraction arithmetic, kept when feasible."""
+    system = brute_system(P)
+    found = set()
+    for subset in combinations(system, P.dim):
+        x = _solve_square([a for a, _ in subset], [b for _, b in subset])
+        if x is not None and all(dot(a, x) <= b for a, b in system):
+            found.add(x)
+    return sorted(found)
 
 
 def brute_lp(nvars, rows, rhs, objective=None, maximize=True):
@@ -35,7 +100,7 @@ def brute_lp(nvars, rows, rhs, objective=None, maximize=True):
     for subset in combinations(range(len(system)), nvars):
         A = [system[i][0] for i in subset]
         b = [system[i][1] for i in subset]
-        x = solve_square(A, b)
+        x = _solve_square(A, b)
         if x is None:
             continue
         if all(dot(coeffs, x) <= b2 for coeffs, b2 in system):

@@ -4,6 +4,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bblab import _kernel, lp
 from bblab.bbtree import (
@@ -23,8 +25,18 @@ from bblab.checkers import enum_integer_points
 from bblab.errors import DimensionTooLarge, IllegalDisjunction, PointNotInP
 from bblab.families import CrossSpec, gen_cross_polytope
 from bblab.lp import enum_vertices, verify_farkas
-from bblab.maps import DupSpec, EmbedSpec, FlipSpec, identity_map, make_dup, make_embed, make_flip
-from bblab.polytope import Polytope, geq_row, leq_row
+from bblab.maps import (
+    DupSpec,
+    EmbedSpec,
+    FlipSpec,
+    apply_map_polytope,
+    compose,
+    identity_map,
+    make_dup,
+    make_embed,
+    make_flip,
+)
+from bblab.polytope import LinearConstraint, Polytope, geq_row, leq_row
 from bblab.search import MostFractional, run_bb
 
 F = Fraction
@@ -241,8 +253,6 @@ def test_transform_tree_degenerate_normal_keeps_size_and_containment():
     out = transform_tree(live_right, f)
     assert out.disjunction == Disjunction((1,), -1)
 
-    from bblab.maps import apply_map_polytope
-
     P = Polytope(1, (leq_row((1,), F(2, 3)),))
     Q = apply_map_polytope(f, P)
     for tree_hat in (live_left, live_right):
@@ -251,6 +261,61 @@ def test_transform_tree_degenerate_normal_keeps_size_and_containment():
             target = ahat.polytope()
             for vx in enum_vertices(av.polytope()):
                 assert target.contains(f.apply(vx))
+
+
+def _subsets(n):
+    return st.frozensets(st.integers(0, n - 1), max_size=n)
+
+
+@st.composite
+def _map_from_3d(draw):
+    """A chain of one to three flip/embed/dup maps out of dimension 3."""
+    f = make_flip(FlipSpec(3, draw(_subsets(3))))
+    for kind in draw(st.lists(st.sampled_from(["flip", "embed", "dup"]), max_size=2)):
+        n = f.out_dim
+        if kind == "flip":
+            g = make_flip(FlipSpec(n, draw(_subsets(n))))
+        elif kind == "embed":
+            zeros, ones = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+            pos = draw(st.permutations(range(n + zeros + ones)))
+            g = make_embed(EmbedSpec(n, zeros, ones, tuple(pos)))
+        else:
+            idx = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2))
+            g = make_dup(DupSpec(n, tuple(idx)))
+        f = compose(g, f)
+    return f
+
+
+def _trees(dim, depth):
+    if depth == 0:
+        return st.just(leaf())
+    pi = st.tuples(*[st.integers(-3, 3)] * dim).filter(any)
+    split = st.builds(lambda d, lt, rt: node(d, lt, rt),
+                      st.builds(Disjunction, pi, st.integers(-3, 3)),
+                      _trees(dim, depth - 1), _trees(dim, depth - 1))
+    return st.one_of(st.just(leaf()), split)
+
+
+_fraction = st.builds(F, st.integers(-3, 3), st.integers(1, 2))
+_polytope_3d = st.lists(
+    st.builds(lambda coeffs, rhs: LinearConstraint(coeffs, "<=", rhs),
+              st.tuples(_fraction, _fraction, _fraction),
+              st.builds(F, st.integers(-2, 5), st.integers(1, 2))),
+    min_size=1, max_size=4,
+).map(lambda rows: Polytope(3, tuple(rows)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(P=_polytope_3d, f=_map_from_3d(), data=st.data())
+def test_transform_tree_keeps_size_and_leafwise_containment(P, f, data):
+    tree_hat = data.draw(_trees(f.out_dim, 3))
+    tree = transform_tree(tree_hat, f)
+    assert tree.size == tree_hat.size
+    Q = apply_map_polytope(f, P)
+    for av, ahat in zip(atoms_of(tree, P), atoms_of(tree_hat, Q), strict=True):
+        target = ahat.polytope()
+        for vx in enum_vertices(av.polytope()):
+            assert target.contains(f.apply(vx))
 
 
 def _random_tree(rng, dim, depth):
@@ -290,8 +355,6 @@ def test_monotonicity_of_leaves():
 
 def test_simulation_lemma_small():
     rng = random.Random(321)
-    from bblab.maps import apply_map_polytope, compose
-
     for _ in range(10):
         P = Polytope(2, (leq_row((F(1), F(1)), F(3, 2)),))
         f = compose(make_embed(EmbedSpec(2, 1, 0)), make_flip(FlipSpec(2, {rng.randint(0, 1)})))

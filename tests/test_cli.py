@@ -293,14 +293,26 @@ def test_malformed_report_and_experiment_config_exit_2_naming_the_field(tmp_path
     report["leaf_witnesses"] = 5
     rep.write_text(json.dumps(report))
     cfg = tmp_path / "cfg.json"
+    # an --objective @file is read like a report or config field
+    not_a_list, not_rationals = tmp_path / "five.json", tmp_path / "floats.json"
+    not_a_list.write_text("5")
+    not_rationals.write_text("[1.5, 2]")
+    check = ["check-tree", "--polytope", str(p), "--tree", str(t), "--mode", "solves"]
+    run = ["run", "--polytope", str(p)]
+    experiment = ["experiment", "--config", str(cfg)]
+    base = {"family": "cross", "n": [2], "strategies": [{"kind": "most-fractional"}]}
     capsys.readouterr()
     cases = [
-        (["check-tree", "--polytope", str(p), "--tree", str(t), "--mode", "solves",
-          "--objective", "ones", "--report", str(rep)], "leaf_witnesses", None),
-        (["experiment", "--config", str(cfg)], "n",
-         {"family": "cross", "n": "x", "strategies": [{"kind": "most-fractional"}]}),
-        (["experiment", "--config", str(cfg)], "strategies[0]",
-         {"family": "cross", "n": [2], "strategies": [5]}),
+        (check + ["--objective", "ones", "--report", str(rep)], "leaf_witnesses", None),
+        (experiment, "n", {**base, "n": "x"}),
+        (experiment, "strategies[0]", {**base, "strategies": [5]}),
+        (experiment, "budget", {**base, "budget": 5}),
+        (experiment, "budget.max_nodes", {**base, "budget": {"max_nodes": "x"}}),
+        (experiment, "objective", {**base, "objective": 5}),
+        (check + ["--objective", f"@{not_a_list}"], "objective", None),
+        (check + ["--objective", f"@{not_rationals}"], "objective[0]", None),
+        (run + ["--objective", f"@{not_a_list}"], "objective", None),
+        (run + ["--objective", f"@{not_rationals}"], "objective[0]", None),
     ]
     for argv, field, config in cases:
         if config is not None:
@@ -309,3 +321,4 @@ def test_malformed_report_and_experiment_config_exit_2_naming_the_field(tmp_path
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field}: ") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+

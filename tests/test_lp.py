@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -20,7 +21,15 @@ from bblab.lp import (
 from bblab.polytope import LinearConstraint, Polytope, eq_row, geq_row, leq_row
 from bblab.rationals import clear_denominators, dot, rat_vector
 
-from _oracles import brute_in_hull_of_union, brute_lp, brute_verify_farkas
+from _oracles import (
+    brute_in_hull_of_union,
+    brute_lp,
+    brute_rank,
+    brute_rref,
+    brute_system,
+    brute_verify_farkas,
+    brute_vertices,
+)
 
 F = Fraction
 
@@ -182,6 +191,80 @@ def test_affine_rank():
         affine_rank([])
 
 
+def _random_points(rng, n, m):
+    """m rational points in dimension n; some are affine combinations of a
+    few base points, so the set is often affinely dependent."""
+    base = [tuple(F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n))
+            for _ in range(rng.randint(1, 3))]
+    pts = []
+    for _ in range(m):
+        if rng.random() < 0.5:
+            w = [F(rng.randint(-2, 3)) for _ in base]
+            w[0] += 1 - sum(w)
+            pts.append(tuple(sum(wi * b[j] for wi, b in zip(w, base)) for j in range(n)))
+        else:
+            pts.append(tuple(F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)))
+    return pts
+
+
+def test_affine_rank_matches_fraction_brute_force():
+    from itertools import combinations
+
+    cases = []
+    for n, k in ((5, 2), (6, 3), (8, 3)):  # cardinality-facet point sets
+        cases.append([tuple(F(int(i in T)) for i in range(n))
+                      for T in combinations(range(n), k - 1)])
+    rng = random.Random(68)
+    cases += [_random_points(rng, rng.randint(1, 5), rng.randint(1, 7)) for _ in range(150)]
+    ranks = set()
+    for pts in cases:
+        diffs = [[p[j] - pts[0][j] for j in range(len(p))] for p in pts[1:]]
+        want = brute_rank(diffs) + 1
+        assert affine_rank(pts) == want
+        ranks.add(want)
+    assert ranks >= {1, 2, 3, 4, 5, 6}
+
+
+def test_eliminate_reaches_the_fraction_reduced_row_echelon_form():
+    rng = random.Random(69)
+    for _ in range(120):
+        m, width = rng.randint(1, 5), rng.randint(1, 6)
+        rows = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(width)]
+                for _ in range(m)]
+        want_rank, want = brute_rref(rows)
+        got = [list(r) for r in rows]
+        rank, den = lp._eliminate(got, width)
+        assert den > 0 and rank == want_rank
+        assert [[F(v, den) for v in r] for r in got] == want
+
+
+def _random_mixed_polytope(rng):
+    n = rng.randint(1, 3)
+    rows = tuple(_random_row(rng, n) for _ in range(rng.randint(0, 5)))
+    return Polytope(n, rows, box=rng.random() < 0.6)
+
+
+def test_enum_vertices_matches_fraction_brute_force():
+    from bblab import acceptance
+    from bblab.bbtree import atoms_of, transform_tree
+
+    rng = random.Random(70)
+    cases = [_random_mixed_polytope(rng) for _ in range(120)]
+    rng = random.Random(20240707)  # the triples of acceptance criterion 7
+    for trial in range(50):
+        P = acceptance._random_polytope_3d(rng)
+        f = acceptance._random_map_from_3d(rng)
+        tree = transform_tree(acceptance._random_tree(rng, f.out_dim, 4), f)
+        if trial % 5 == 0:
+            cases += [a.polytope() for a in atoms_of(tree, P)]
+    sizes = set()
+    for P in cases:
+        verts = enum_vertices(P)
+        assert verts == brute_vertices(P)
+        sizes.add((P.box, min(len(verts), 3)))
+    assert sizes == {(box, k) for box in (False, True) for k in range(4)}
+
+
 def test_feasible_points_satisfy_rows_exactly():
     rng = random.Random(13)
     for _ in range(20):
@@ -224,25 +307,27 @@ def test_constraint_int_form_is_clear_denominators_of_each_leq_pair():
         assert row.int_leq is forms  # made once, kept on the constraint
 
 
-def test_polytope_int_system_matches_leq_system_without_box_lo():
+def test_polytope_int_system_is_each_row_for_ref_scaled_without_box_lo():
     rng = random.Random(62)
     for _ in range(30):
         n = rng.randint(1, 4)
         rows = tuple(_random_row(rng, n) for _ in range(rng.randint(0, 5)))
         P = Polytope(n, rows, box=rng.random() < 0.7)
-        want = [entry for entry in P.leq_system() if entry[0][0] != "box_lo"]
+        want_refs = [("row", i, side) if r.rel == "=" else ("row", i)
+                     for i, r in enumerate(rows) for side in ("le", "ge")[: len(r.as_leq())]]
+        want_refs += [("box_hi", j) for j in range(n)] if P.box else []
         got = P.int_system()
-        assert [entry[0] for entry in got] == [entry[0] for entry in want]
-        for (_, coeffs, rhs, scale), (_, want_coeffs, want_rhs) in zip(got, want):
+        assert [entry[0] for entry in got] == want_refs
+        for ref, coeffs, rhs, scale in got:
             assert all(type(v) is int for v in coeffs) and type(rhs) is int
-            ints, want_scale = clear_denominators(list(want_coeffs) + [want_rhs])
-            assert list(coeffs) + [rhs] == ints and scale == want_scale
+            assert gcd(*coeffs, rhs) <= 1 and scale > 0  # coprime, or all zero
+            want_coeffs, want_rhs = P.row_for_ref(ref)
+            assert [*coeffs, rhs] == [v * scale for v in (*want_coeffs, want_rhs)]
 
 
 def _brute(P, c):
     """(status, max c.x) over P by vertex enumeration of its explicit rows."""
-    system = [(coeffs, b) for ref, coeffs, b in P.materialized().leq_system()
-              if ref[0] != "box_lo"]  # brute_lp adds x >= 0 itself
+    system = brute_system(P, box_lo=False)  # brute_lp adds x >= 0 itself
     return brute_lp(P.dim, [s[0] for s in system], [s[1] for s in system], objective=c)
 
 
