@@ -19,13 +19,14 @@ from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
     IllegalDisjunction,
+    MalformedInput,
     PointNotInP,
     json_field,
 )
 from .lp import in_convex_hull_of_union, lp_feasible, lp_optimize
 from .maps import AffineMap
 from .polytope import GE, LE, LinearConstraint, Polytope
-from .rationals import dot, rat_vector
+from .rationals import dot, integer, parse_list, rat_vector
 
 
 @lru_cache(maxsize=1024)
@@ -56,6 +57,17 @@ class Disjunction:
 
     def right_row(self):
         return LinearConstraint(self.pi, GE, Fraction(self.pi0 + 1))
+
+    @classmethod
+    def from_json(cls, obj, path):
+        """Parse the ``pi`` and ``pi0`` fields of ``obj``; a float, bool or
+        other non-integer raises MalformedInput naming ``path.pi`` or
+        ``path.pi0``."""
+        with json_field(f"{path}.pi"):
+            pi = parse_list(obj["pi"], f"{path}.pi", integer)
+        with json_field(f"{path}.pi0"):
+            pi0 = integer(obj["pi0"])
+        return cls(pi, pi0)
 
     def cuts_off(self, point):
         """True when pi.point is strictly between the two sides."""
@@ -119,18 +131,18 @@ class BBTree:
         """Parse a tree file; a malformed node raises MalformedInput naming
         its JSON path, e.g. ``tree.left.right``."""
         with json_field(path):
-            if obj.get("leaf"):
-                return leaf()
-        with json_field(f"{path}.pi"):
-            pi = tuple(int(v) for v in obj["pi"])
-        with json_field(f"{path}.pi0"):
-            pi0 = int(obj["pi0"])
+            marker = obj.get("leaf", False)
+        if marker is True:
+            return leaf()
+        if marker is not False:
+            raise MalformedInput(f"{path}.leaf: not a boolean: {marker!r}")
+        disjunction = Disjunction.from_json(obj, path)
         children = []
         for side in ("left", "right"):
             with json_field(f"{path}.{side}"):
                 child = obj[side]
             children.append(cls.from_json(child, f"{path}.{side}"))
-        return node(Disjunction(pi, pi0), *children)
+        return node(disjunction, *children)
 
 
 def leaf() -> BBTree:

@@ -40,8 +40,6 @@ def enum_integer_points(P: Polytope, first_only=False):
     n = P.dim
     if n > _ENUM_DIM_CAP:
         raise DimensionTooLarge(f"0/1 enumeration beyond dim {_ENUM_DIM_CAP}")
-    if not P.box:
-        raise ValueError("enumeration needs the box flag")
     oracle = P.oracle
     # Rows the oracle already answers for exactly are left to it; for
     # hint-style oracles over explicit rows this turns the scan per point
@@ -118,7 +116,7 @@ def criticality_bound(P: Polytope, D) -> CriticalityResult:
     witnesses = {}
     for r in D:
         rows = tuple(row for i, row in enumerate(P.rows) if i != r)
-        relaxed = Polytope(P.dim, rows, box=P.box)
+        relaxed = Polytope(P.dim, rows)
         found = enum_integer_points(relaxed, first_only=True)
         if not found:
             return CriticalityResult(
@@ -154,7 +152,7 @@ def gen_restricted_polytope(P: Polytope, c, delta) -> Polytope:
         "eps0": rat_str(eps0),
         "base": (P.provenance or {}).get("family"),
     }
-    return Polytope(P.dim, rows, box=P.box, oracle=P.oracle, provenance=prov)
+    return Polytope(P.dim, rows, oracle=P.oracle, provenance=prov)
 
 
 @dataclass

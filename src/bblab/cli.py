@@ -31,8 +31,8 @@ from .families import (
     gen_set_cover,
     gen_tsp_subtour,
 )
-from .polytope import Polytope, point_from_json, point_to_json
-from .rationals import rat, rat_str
+from .polytope import Polytope, point_to_json
+from .rationals import integer, parse_list, rat_str
 from .search import (
     COEFF_CAVEAT,
     FixedSequence,
@@ -98,19 +98,8 @@ def _parse_objective(text, dim, seed):
             Fraction(rng.randint(-100, 100), rng.randint(1, 10)) for _ in range(dim)
         )
     if text.startswith("@"):
-        return _rat_list(_read_json(text[1:]), "objective")
-    return _rat_list(text.split(","), "objective")
-
-
-def _rat_list(values, path):
-    """A JSON list of rationals; a bad entry raises MalformedInput naming it."""
-    if not isinstance(values, list):
-        raise MalformedInput(f"{path}: not a list: {values!r}")
-    out = []
-    for i, v in enumerate(values):
-        with json_field(f"{path}[{i}]"):
-            out.append(rat(v))
-    return tuple(out)
+        return parse_list(_read_json(text[1:]), "objective")
+    return parse_list(text.split(","), "objective")
 
 
 def _farkas_json(cert):
@@ -155,7 +144,7 @@ def cmd_check_tree(args):
                 raise MalformedInput("report: not a JSON object")
             with json_field("leaf_witnesses"):
                 witnesses = {
-                    int(i): point_from_json(p)
+                    int(i): parse_list(p, f"leaf_witnesses.{i}")
                     for i, p in rep_obj.get("leaf_witnesses", {}).items()
                 }
         rep = solves(tree, P, objective, witnesses)
@@ -175,7 +164,7 @@ def cmd_check_tree(args):
         if args.point is None:
             print("check-tree separates needs --point", file=sys.stderr)
             return USAGE_ERROR
-        xstar = tuple(rat(v) for v in args.point.split(","))
+        xstar = parse_list(args.point.split(","), "point")
         rep = separates(tree, P, xstar)
         cert["verdict"] = rep.separated
         cert["point"] = point_to_json(xstar)
@@ -187,18 +176,21 @@ def cmd_check_tree(args):
     return 0 if cert["verdict"] else 1
 
 
-def _make_strategy(spec):
-    kind = spec.get("kind")
-    if kind == "most-fractional":
-        return MostFractional()
-    if kind == "random-general":
-        return RandomGeneral(int(spec["M"]), int(spec.get("seed", 0)))
-    if kind == "fixed-sequence":
-        return FixedSequence(
-            Disjunction(tuple(int(v) for v in d["pi"]), int(d["pi0"]))
-            for d in spec["disjunctions"]
-        )
-    raise ValueError(f"unknown strategy {kind!r}")
+def _make_strategy(spec, path="strategy"):
+    """A strategy from its JSON spec; a malformed spec raises MalformedInput
+    naming ``path`` or a field below it."""
+    with json_field(path):
+        kind = spec.get("kind")
+        if kind == "most-fractional":
+            return MostFractional()
+        if kind == "random-general":
+            return RandomGeneral(integer(spec["M"]), integer(spec.get("seed", 0)))
+        if kind == "fixed-sequence":
+            return FixedSequence(
+                Disjunction.from_json(d, f"{path}.disjunctions[{j}]")
+                for j, d in enumerate(spec["disjunctions"])
+            )
+        raise ValueError(f"unknown strategy {kind!r}")
 
 
 def _report_json(rep, strategy, budget):
@@ -245,9 +237,8 @@ def cmd_min_tree(args):
 
 
 def _int_value(value, path):
-    if type(value) is not int:
-        raise MalformedInput(f"{path}: not an integer: {value!r}")
-    return value
+    with json_field(path):
+        return integer(value)
 
 
 def _int_list(config, key, default):
@@ -255,7 +246,7 @@ def _int_list(config, key, default):
     values = config.get(key, default)
     if not isinstance(values, list):
         return [_int_value(values, key)]
-    return [_int_value(v, f"{key}[{i}]") for i, v in enumerate(values)]
+    return list(parse_list(values, key, integer))
 
 
 def _budget(config):
@@ -263,10 +254,12 @@ def _budget(config):
     cfg = config.get("budget", {})
     if not isinstance(cfg, dict):
         raise MalformedInput(f"budget: not a JSON object: {cfg!r}")
-    return SearchBudget(**{
-        key: _int_value(cfg.get(key, 100_000), f"budget.{key}")
-        for key in ("max_nodes", "max_leaves")
-    })
+    limits = {}
+    for key in ("max_nodes", "max_leaves"):
+        limits[key] = _int_value(cfg.get(key, 100_000), f"budget.{key}")
+        if limits[key] < 1:
+            raise MalformedInput(f"budget.{key}: must be positive: {limits[key]!r}")
+    return SearchBudget(**limits)
 
 
 def _experiment_rows(config):
@@ -283,8 +276,7 @@ def _experiment_rows(config):
     if not isinstance(config["strategies"], list):
         raise MalformedInput("strategies: not a list")
     for i, spec in enumerate(config["strategies"]):
-        with json_field(f"strategies[{i}]"):
-            _make_strategy(spec)
+        _make_strategy(spec, f"strategies[{i}]")
     for n in ns:
         for k in ks or [None]:
             for seed in seeds:

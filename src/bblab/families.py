@@ -19,7 +19,7 @@ from math import comb
 
 from .errors import SpecViolation, TooLarge, TooLargeForExplicit
 from .polytope import EQ, GE, LE, LinearConstraint, Polytope
-from .rationals import point_to_ints, rat_str
+from .rationals import integer, point_to_ints, rat_str
 
 _EXPLICIT_CAP = 16  # 2^n explicit rows allowed up to here
 
@@ -369,7 +369,7 @@ def oracle_from_json(obj):
         return None
     family = obj.get("family")
     if family == "cross":
-        return CrossOracle(int(obj["n"]))
+        return CrossOracle(integer(obj["n"]))
     if family == "packing":
-        return PackingOracle(int(obj["n"]), int(obj["k"]))
+        return PackingOracle(integer(obj["n"]), integer(obj["k"]))
     raise ValueError(f"unknown oracle family {family!r}")

@@ -24,7 +24,7 @@ from .errors import (
 from .polytope import EQ, LE, Polytope
 from .rationals import clear_denominators, dot, point_to_ints, rat_vector
 
-FEASIBLE, INFEASIBLE, OPTIMAL, UNBOUNDED = "feasible", "infeasible", "optimal", "unbounded"
+FEASIBLE, INFEASIBLE, OPTIMAL = "feasible", "infeasible", "optimal"
 
 _LAZY_POOL_MIN = 48
 _ADD_BATCH = 8
@@ -62,7 +62,6 @@ def _polytope_solve(P, objective=None, maximize=True):
     # (ref, int coeffs, int rhs, scale): each row is made integer once, by
     # its LinearConstraint, and simplex takes the ints as they are.
     sys_rows = P.int_system()
-    split_vars = not P.box  # x >= 0 is native only under the box flag
     oracle = P.oracle
     if oracle is not None and oracle.rows_are_explicit:
         oracle = None  # every family row is already in the explicit pool
@@ -88,34 +87,19 @@ def _polytope_solve(P, objective=None, maximize=True):
     while True:
         rounds += 1
         entries = [sys_rows[k] for k in active] + oracle_rows
-        rows = [
-            list(coeffs) + [-c for c in coeffs] if split_vars else coeffs
-            for _, coeffs, _, _ in entries
-        ]
+        rows = [coeffs for _, coeffs, _, _ in entries]
         rhs = [b for _, _, b, _ in entries]
-        nv = 2 * n if split_vars else n
-        obj = None
-        if objective is not None:
-            obj = list(objective) + [-c for c in objective] if split_vars else list(objective)
-        res = simplex.solve(nv, rows, [LE] * len(rows), rhs, objective=obj,
+        res = simplex.solve(n, rows, [LE] * len(rows), rhs, objective=objective,
                             maximize=maximize, want_farkas=True)
 
         if res.status == "infeasible":
-            cert = _assemble_farkas(P, entries, res.farkas, n, split_vars)
+            cert = _assemble_farkas(P, entries, res.farkas, n)
             return LPOutcome(INFEASIBLE, farkas=cert)
         if res.status == "unbounded":
-            if P.box:
-                raise InternalError("unbounded LP over a box polytope")
-            if pool and len(active) < len(sys_rows):
-                active = list(range(len(sys_rows)))
-                active_set = set(active)
-                continue
-            return LPOutcome(UNBOUNDED)
+            # The always-active box_hi rows and x >= 0 bound every variable.
+            raise InternalError("unbounded LP over a box polytope")
 
-        x = res.x[:n] if not split_vars else tuple(
-            res.x[j] - res.x[n + j] for j in range(n)
-        )
-        x = tuple(x)
+        x = tuple(res.x[:n])
 
         new = []
         if pool:
@@ -155,38 +139,27 @@ def _polytope_solve(P, objective=None, maximize=True):
             oracle_rows.append(oracle_new)
 
 
-def _assemble_farkas(P, entries, u, n, split_vars):
+def _assemble_farkas(P, entries, u, n):
     # u multiplies the integer rows; row = ints / scale, so the multiplier
     # on the row as given is u * scale.
     cert = [(ref, ui * scale) for (ref, _, _, scale), ui in zip(entries, u) if ui != 0]
-    if not split_vars:
-        # Kernel guarantees sum u_i a_i >= 0 against x >= 0; fold the slack
-        # into multipliers on the implied -x_j <= 0 box rows.
-        nums, den = point_to_ints(u)
-        for j in range(n):
-            combo = sum(w * entries[i][1][j] for i, w in enumerate(nums) if w)
-            if combo > 0:
-                cert.append((("box_lo", j), Fraction(combo, den)))
+    # Kernel guarantees sum u_i a_i >= 0 against x >= 0; fold the slack
+    # into multipliers on the implied -x_j <= 0 box rows.
+    nums, den = point_to_ints(u)
+    for j in range(n):
+        combo = sum(w * entries[i][1][j] for i, w in enumerate(nums) if w)
+        if combo > 0:
+            cert.append((("box_lo", j), Fraction(combo, den)))
     cert = tuple(cert)
     verify_farkas(P, cert)
     return cert
 
 
-def _ref_row(P, ref):
-    if ref[0] == "oracle":
-        con = ref[1]
-        if P.oracle is None or not P.oracle.is_family_row(con):
-            raise ValueError("certificate cites a row outside the oracle family")
-        (coeffs, b), = con.as_leq()
-        return coeffs, b
-    return P.row_for_ref(ref)
-
-
 def verify_farkas(P: Polytope, cert) -> None:
     """Exact check of an infeasibility certificate; raises InternalError.
 
-    Independent of the LP's integer rows: each cited row is read off its
-    own ``as_leq()`` pair (or ``row_for_ref``) and put over its common
+    Independent of the LP's integer rows: each cited row is read off
+    ``row_for_ref``, its own ``as_leq()`` pair, and put over its common
     denominator here, and the multipliers over theirs, so the identities
     below are tested in integers.
     """
@@ -195,7 +168,7 @@ def verify_farkas(P: Polytope, cert) -> None:
         raise InternalError("Farkas multiplier is negative")
     rows = []
     for ref, _ in cert:
-        coeffs, b = _ref_row(P, ref)
+        coeffs, b = P.row_for_ref(ref)
         rows.append(point_to_ints([*coeffs, b]))
     row_den = lcm(*(d for _, d in rows))
     # Row i is ints_i / d_i and its multiplier w_i / den, so the combination
@@ -226,7 +199,7 @@ def in_convex_hull_of_union(xstar, atoms) -> HullResult:
 
     Uses the standard disjunctive formulation: lambda_v >= 0 summing to one,
     per-atom points z_v with A_v z_v <= lambda_v b_v and 0 <= z_v <= lambda_v,
-    and sum_v z_v = x*.  Requires box-bounded atoms.
+    and sum_v z_v = x*.
     """
     xstar = rat_vector(xstar)
     if not atoms:
@@ -235,8 +208,6 @@ def in_convex_hull_of_union(xstar, atoms) -> HullResult:
     for A in atoms:
         if A.dim != n:
             raise DimensionMismatch("atom/point dimension mismatch")
-        if not A.box:
-            raise ValueError("hull membership requires box-bounded atoms")
     atoms = [A.materialized() for A in atoms]
 
     V = len(atoms)
@@ -398,8 +369,7 @@ def enum_vertices(P: Polytope, combo_limit=2_000_000):
     P = P.materialized()
     n = P.dim
     system = [(*coeffs, rhs) for _, coeffs, rhs, _ in P.int_system()]
-    if P.box:
-        system += [(*(-int(t == j) for t in range(n)), 0) for j in range(n)]
+    system += [(*(-int(t == j) for t in range(n)), 0) for j in range(n)]
     m = len(system)
     if comb(m, n) > combo_limit:
         raise TooLarge(f"vertex enumeration over C({m},{n}) bases")

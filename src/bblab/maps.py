@@ -208,7 +208,7 @@ def apply_map_polytope(f: AffineMap, P: Polytope) -> Polytope:
             coeffs = tuple(-c if i in J else c for i, c in enumerate(row.coeffs))
             shift = sum((row.coeffs[i] for i in J), Fraction(0))
             rows.append(LinearConstraint(coeffs, row.rel, row.rhs - shift))
-        return Polytope(P.dim, tuple(rows), box=P.box)
+        return Polytope(P.dim, tuple(rows))
 
     if f.kind == "embed":
         spec = f.spec
@@ -219,7 +219,7 @@ def apply_map_polytope(f: AffineMap, P: Polytope) -> Polytope:
             coeffs = tuple(Fraction(int(t == out)) for t in range(total))
             value = Fraction(0) if i < spec.n + spec.zeros else Fraction(1)
             rows.append(LinearConstraint(coeffs, EQ, value))
-        return Polytope(total, tuple(rows), box=P.box)
+        return Polytope(total, tuple(rows))
 
     spec = f.spec
     total = spec.n + len(spec.indices)
@@ -230,7 +230,7 @@ def apply_map_polytope(f: AffineMap, P: Polytope) -> Polytope:
         coeffs[spec.n + i] = Fraction(1)
         coeffs[j] -= Fraction(1)
         rows.append(LinearConstraint(tuple(coeffs), EQ, Fraction(0)))
-    return Polytope(total, tuple(rows), box=P.box)
+    return Polytope(total, tuple(rows))
 
 
 def _lift_row(row, total, positions):

@@ -5,7 +5,16 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import DimensionMismatch, MalformedInput, TooLargeForExplicit, json_field
-from .rationals import clear_denominators, dot, point_to_ints, rat, rat_str, rat_vector
+from .rationals import (
+    clear_denominators,
+    dot,
+    integer,
+    parse_list,
+    point_to_ints,
+    rat,
+    rat_str,
+    rat_vector,
+)
 
 LE, GE, EQ = "<=", ">=", "="
 _RELATIONS = (LE, GE, EQ)
@@ -96,7 +105,7 @@ class LinearConstraint:
     def from_json(cls, obj, path="row"):
         """Parse a row; a malformed field raises MalformedInput naming ``path``."""
         with json_field(f"{path}.coeffs"):
-            coeffs = tuple(rat(c) for c in obj["coeffs"])
+            coeffs = parse_list(obj["coeffs"], f"{path}.coeffs")
         with json_field(f"{path}.rhs"):
             rhs = rat(obj["rhs"])
         with json_field(f"{path}.rel"):
@@ -117,8 +126,8 @@ def eq_row(coeffs, rhs):
 
 @dataclass(frozen=True)
 class Polytope:
-    """A polytope given by explicit rows, an implied [0,1]^n box, and
-    optionally a lazy separation oracle for an exponential row family.
+    """A polytope in [0,1]^n given by explicit rows and optionally a lazy
+    separation oracle for an exponential row family.
 
     The oracle, when present, must agree exactly with the family it stands
     for: ``find_violated(x)`` returns a violated family row or None.
@@ -126,7 +135,6 @@ class Polytope:
 
     dim: int
     rows: tuple = ()
-    box: bool = True
     oracle: object = None
     provenance: dict | None = field(default=None, compare=False)
 
@@ -143,16 +151,14 @@ class Polytope:
 
     def with_rows(self, extra):
         """A copy with additional explicit rows appended (used for atoms)."""
-        return Polytope(
-            self.dim, self.rows + tuple(extra), box=self.box, oracle=self.oracle
-        )
+        return Polytope(self.dim, self.rows + tuple(extra), oracle=self.oracle)
 
     def contains(self, point) -> bool:
         point = rat_vector(point)
         if len(point) != self.dim:
             raise DimensionMismatch("point/polytope dimension mismatch")
         nums, den = point_to_ints(point)
-        if self.box and not all(0 <= v <= den for v in nums):
+        if not all(0 <= v <= den for v in nums):
             return False
         if not all(r.holds_at(nums, den) for r in self.rows):
             return False
@@ -166,11 +172,10 @@ class Polytope:
         A list of (ref, coeffs, rhs, scale) with the ints of
         ``LinearConstraint.int_leq``.  refs: ("row", i) for a <=/>= explicit
         row, ("row", i, "le"/"ge") for the two sides of an equality, then
-        ("box_hi", j) for x_j <= 1, a unit row of plain ints with scale 1,
-        when the box flag is set.  The box's -x_j <= 0 rows (ref
-        ("box_lo", j)) are left out, since the LP layer keeps x >= 0
-        implicit; oracle rows are not enumerated, and certificates carry
-        them inline.
+        ("box_hi", j) for x_j <= 1, a unit row of plain ints with scale 1.
+        The box's -x_j <= 0 rows (ref ("box_lo", j)) are left out, since the
+        LP layer keeps x >= 0 implicit; oracle rows are not enumerated, and
+        certificates carry them inline.
         """
         out = []
         for i, row in enumerate(self.rows):
@@ -180,14 +185,18 @@ class Polytope:
                 out.append((("row", i, "ge"), *forms[1]))
             else:
                 out.append((("row", i), *forms[0]))
-        if self.box:
-            for j in range(self.dim):
-                e = tuple(int(t == j) for t in range(self.dim))
-                out.append((("box_hi", j), e, 1, 1))
+        for j in range(self.dim):
+            e = tuple(int(t == j) for t in range(self.dim))
+            out.append((("box_hi", j), e, 1, 1))
         return out
 
     def row_for_ref(self, ref):
-        """Resolve a certificate reference to a (coeffs, rhs) <=-form pair."""
+        """Resolve a certificate reference to a (coeffs, rhs) <=-form pair.
+
+        refs are those of ``int_system``, ("box_lo", j) for -x_j <= 0, and
+        ("oracle", row) for an activated row of the oracle family, which
+        the certificate carries as a LinearConstraint.
+        """
         kind = ref[0]
         if kind == "row":
             row = self.rows[ref[1]]
@@ -195,22 +204,14 @@ class Polytope:
             if row.rel == EQ:
                 return pairs[0] if ref[2] == "le" else pairs[1]
             return pairs[0]
-        if kind == "box_hi":
-            j = ref[1]
-            return (
-                tuple(Fraction(int(t == j)) for t in range(self.dim)),
-                Fraction(1),
-            )
-        if kind == "box_lo":
-            j = ref[1]
-            return (
-                tuple(Fraction(-int(t == j)) for t in range(self.dim)),
-                Fraction(0),
-            )
+        if kind in ("box_hi", "box_lo"):  # x_j <= 1 or -x_j <= 0
+            sign = 1 if kind == "box_hi" else -1
+            unit = tuple(Fraction(sign * int(t == ref[1])) for t in range(self.dim))
+            return unit, Fraction(int(kind == "box_hi"))
         if kind == "oracle":
-            row = LinearConstraint.from_json(ref[1])
+            row = ref[1]
             if self.oracle is None or not self.oracle.is_family_row(row):
-                raise ValueError("certificate references a row outside the family")
+                raise ValueError("certificate cites a row outside the oracle family")
             return row.as_leq()[0]
         raise ValueError(f"unknown row reference {ref!r}")
 
@@ -221,12 +222,12 @@ class Polytope:
         extra = self.oracle.explicit_rows()
         if extra is None:
             raise TooLargeForExplicit("oracle family cannot be expanded")
-        return Polytope(self.dim, self.rows + tuple(extra), box=self.box)
+        return Polytope(self.dim, self.rows + tuple(extra))
 
     def to_json(self):
         obj = {
             "dim": self.dim,
-            "box": self.box,
+            "box": True,
             "rows": [r.to_json() for r in self.rows],
         }
         if self.oracle is not None:
@@ -238,7 +239,8 @@ class Polytope:
     @classmethod
     def from_json(cls, obj):
         """Parse a polytope file; a malformed field raises MalformedInput
-        naming its JSON path, e.g. ``rows[0].coeffs``."""
+        naming its JSON path, e.g. ``rows[0].coeffs``.  ``box`` must be
+        true or absent: every polytope lies in [0,1]^n."""
         if not isinstance(obj, dict):
             raise MalformedInput("polytope: not a JSON object")
         oracle = None
@@ -247,25 +249,20 @@ class Polytope:
 
             with json_field("oracle"):
                 oracle = oracle_from_json(obj["oracle"])
+        if obj.get("box", True) is not True:
+            raise MalformedInput(f"box: must be true or absent: {obj['box']!r}")
         with json_field("dim"):
-            dim = int(obj["dim"])
-        with json_field("rows"):
-            raw_rows = list(obj.get("rows", []))
+            dim = integer(obj["dim"])
+        if oracle is not None and oracle.n != dim:
+            raise MalformedInput(f"oracle: family over {oracle.n} coordinates, not dim {dim}")
+        raw_rows = obj.get("rows", [])
+        if not isinstance(raw_rows, list):
+            raise MalformedInput(f"rows: not a list: {raw_rows!r}")
         rows = tuple(
             LinearConstraint.from_json(r, f"rows[{i}]") for i, r in enumerate(raw_rows)
         )
-        return cls(
-            dim,
-            rows,
-            box=bool(obj.get("box", True)),
-            oracle=oracle,
-            provenance=obj.get("provenance"),
-        )
+        return cls(dim, rows, oracle=oracle, provenance=obj.get("provenance"))
 
 
 def point_to_json(point):
     return [rat_str(x) for x in point]
-
-
-def point_from_json(obj):
-    return tuple(rat(x) for x in obj)

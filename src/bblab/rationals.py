@@ -11,16 +11,40 @@ denominator (``point_to_ints``).
 from fractions import Fraction
 from math import gcd
 
+from .errors import MalformedInput, json_field
+
 
 def rat(value) -> Fraction:
     """Parse a rational from an int, Fraction, or a "p/q" / "p" string."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if type(value) is int:  # a bool is refused, not read as 0 or 1
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value.strip())
     raise TypeError(f"not a rational: {value!r}")
+
+
+def integer(value) -> int:
+    """Parse an integer from an int or a "p" string; a float, a bool or a
+    fraction is refused, not truncated."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str):
+        return int(value.strip())
+    raise TypeError(f"not an integer: {value!r}")
+
+
+def parse_list(values, path, parse=rat):
+    """A JSON list read entry by entry with ``parse``; a non-list or a bad
+    entry raises MalformedInput naming ``path`` or ``path[i]``."""
+    if not isinstance(values, list):
+        raise MalformedInput(f"{path}: not a list: {values!r}")
+    out = []
+    for i, v in enumerate(values):
+        with json_field(f"{path}[{i}]"):
+            out.append(parse(v))
+    return tuple(out)
 
 
 def rat_str(value) -> str:

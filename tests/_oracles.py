@@ -61,13 +61,12 @@ def brute_rank(matrix):
 def brute_system(P, box_lo=True):
     """P's <=-form rows as Fraction (coeffs, rhs) pairs, oracle families
     expanded: every row's ``as_leq()`` pairs, then x_j <= 1 and (with
-    ``box_lo``) -x_j <= 0 when P has the box flag."""
+    ``box_lo``) -x_j <= 0."""
     system = [(coeffs, rhs) for _, _, coeffs, rhs in _fraction_pairs(P)]
-    if P.box:
-        unit = [tuple(Fraction(int(t == j)) for t in range(P.dim)) for j in range(P.dim)]
-        system += [(e, Fraction(1)) for e in unit]
-        if box_lo:
-            system += [(tuple(-v for v in e), Fraction(0)) for e in unit]
+    unit = [tuple(Fraction(int(t == j)) for t in range(P.dim)) for j in range(P.dim)]
+    system += [(e, Fraction(1)) for e in unit]
+    if box_lo:
+        system += [(tuple(-v for v in e), Fraction(0)) for e in unit]
     return system
 
 
@@ -181,12 +180,7 @@ def brute_verify_farkas(P, cert):
     for ref, mult in cert:
         if mult < 0:
             raise InternalError("Farkas multiplier is negative")
-        if ref[0] == "oracle":
-            if P.oracle is None or not P.oracle.is_family_row(ref[1]):
-                raise ValueError("certificate cites a row outside the oracle family")
-            (coeffs, b), = ref[1].as_leq()
-        else:
-            coeffs, b = P.row_for_ref(ref)
+        coeffs, b = P.row_for_ref(ref)
         for j in range(P.dim):
             combo[j] += mult * coeffs[j]
         total += mult * b

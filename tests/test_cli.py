@@ -1,8 +1,12 @@
 import json
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bblab.cli import main
+from bblab.families import CrossSpec, gen_cross_polytope
 from bblab.polytope import Polytope
 from bblab.bbtree import BBTree, full_variable_tree, proves_infeasibility
 
@@ -247,21 +251,30 @@ def test_malformed_polytope_and_tree_files_exit_2_naming_the_field(tmp_path, cap
     p = tmp_path / "p.json"
     t = tmp_path / "t.json"
     run_cli("gen", "--family", "cross", "--n", "2", "--out", str(p))
-    good_tree = full_variable_tree(2).to_json()
-    t.write_text(json.dumps(good_tree))
-    bad = json.loads(p.read_text())
-    bad["rows"][0]["coeffs"] = 5
-    bad_p = tmp_path / "bad_p.json"
-    bad_p.write_text(json.dumps(bad))
-    del good_tree["right"]
-    bad_t = tmp_path / "bad_t.json"
-    bad_t.write_text(json.dumps(good_tree))
+    good_p = json.loads(p.read_text())
+    good_t = full_variable_tree(2).to_json()
+    bad_row = {**good_p["rows"][0], "coeffs": 5}
+    no_right = {k: v for k, v in good_t.items() if k != "right"}
+    cases = [
+        ({**good_p, "rows": [bad_row]}, good_t, "rows[0].coeffs"),
+        ({**good_p, "dim": 2.7}, good_t, "dim"),
+        ({**good_p, "box": False}, good_t, "box"),
+        ({**good_p, "rows": [], "oracle": {"family": "cross", "n": 2.5}}, good_t, "oracle"),
+        ({**good_p, "rows": [], "oracle": {"family": "cross", "n": 3}}, good_t, "oracle"),
+        (good_p, no_right, "tree.right"),
+        (good_p, {**good_t, "pi": [1.5, 0]}, "tree.pi[0]"),
+        (good_p, {**good_t, "pi": [True, 0]}, "tree.pi[0]"),
+        (good_p, {**good_t, "left": {**good_t["left"], "pi0": 0.9}}, "tree.left.pi0"),
+    ]
     capsys.readouterr()
-    for polytope, tree, field in ((bad_p, t, "rows[0].coeffs"), (p, bad_t, "tree.right")):
-        assert run_cli("check-tree", "--polytope", str(polytope), "--tree", str(tree),
+    for polytope, tree, field in cases:
+        p.write_text(json.dumps(polytope))
+        t.write_text(json.dumps(tree))
+        assert run_cli("check-tree", "--polytope", str(p), "--tree", str(t),
                        "--mode", "infeasibility", "--out", str(tmp_path / "c.json")) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field}: ") and "Traceback" not in err
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_verify_paper_times_each_criterion_on_stderr(monkeypatch, capsys):
@@ -292,6 +305,8 @@ def test_malformed_report_and_experiment_config_exit_2_naming_the_field(tmp_path
     report = json.loads(rep.read_text())
     report["leaf_witnesses"] = 5
     rep.write_text(json.dumps(report))
+    string_point = tmp_path / "rep2.json"  # a string is not read as a list of digits
+    string_point.write_text(json.dumps({**report, "leaf_witnesses": {"0": "01"}}))
     cfg = tmp_path / "cfg.json"
     # an --objective @file is read like a report or config field
     not_a_list, not_rationals = tmp_path / "five.json", tmp_path / "floats.json"
@@ -301,13 +316,23 @@ def test_malformed_report_and_experiment_config_exit_2_naming_the_field(tmp_path
     run = ["run", "--polytope", str(p)]
     experiment = ["experiment", "--config", str(cfg)]
     base = {"family": "cross", "n": [2], "strategies": [{"kind": "most-fractional"}]}
+    fixed = {"kind": "fixed-sequence", "disjunctions": [{"pi": [1, 0], "pi0": 0},
+                                                        {"pi": [0, 1.5], "pi0": 0}]}
     capsys.readouterr()
     cases = [
         (check + ["--objective", "ones", "--report", str(rep)], "leaf_witnesses", None),
+        (check + ["--objective", "ones", "--report", str(string_point)],
+         "leaf_witnesses.0", None),
         (experiment, "n", {**base, "n": "x"}),
         (experiment, "strategies[0]", {**base, "strategies": [5]}),
         (experiment, "budget", {**base, "budget": 5}),
         (experiment, "budget.max_nodes", {**base, "budget": {"max_nodes": "x"}}),
+        (experiment, "budget.max_nodes", {**base, "budget": {"max_nodes": 0}}),
+        (experiment, "budget.max_leaves", {**base, "budget": {"max_leaves": -1}}),
+        (experiment, "strategies[0].disjunctions[1].pi[1]", {**base, "strategies": [fixed]}),
+        (experiment, "strategies[0]",
+         {**base, "strategies": [{"kind": "random-general", "M": 2.5}]}),
+        (check[:-2] + ["--mode", "separates", "--point", "1/2,x"], "point[1]", None),
         (experiment, "objective", {**base, "objective": 5}),
         (check + ["--objective", f"@{not_a_list}"], "objective", None),
         (check + ["--objective", f"@{not_rationals}"], "objective[0]", None),
@@ -322,3 +347,61 @@ def test_malformed_report_and_experiment_config_exit_2_naming_the_field(tmp_path
         assert err.startswith(f"error: {field}: ") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
+
+def test_a_polytope_outside_the_box_exits_2_naming_box(tmp_path, capsys):
+    # Outside the box, x >= 1/2 is unbounded, which no LP verdict covers.
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps({"dim": 1, "box": False, "rows": [
+        {"coeffs": ["1"], "rel": ">=", "rhs": "1/2"}]}))
+    t = tmp_path / "t.json"
+    t.write_text(json.dumps({"leaf": True}))
+    capsys.readouterr()
+    for argv in (["run", "--polytope", str(p)],
+                 ["check-tree", "--polytope", str(p), "--tree", str(t), "--mode", "solves"]):
+        assert run_cli(*argv, "--objective", "ones", "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == "error: box: must be true or absent: False\n"
+    assert not (tmp_path / "out").exists()
+
+
+def _fields(obj, path):
+    """(path, parent, key) for every field below a JSON value, depth first;
+    the free-form ``provenance`` is not a checked field."""
+    items = enumerate(obj) if isinstance(obj, list) else obj.items()
+    for key, value in items:
+        if key == "provenance":
+            continue
+        sub = f"{path}[{key}]" if isinstance(obj, list) else f"{path}.{key}".lstrip(".")
+        yield sub, obj, key
+        if isinstance(value, (dict, list)):
+            yield from _fields(value, sub)
+
+
+_wrong_typed = st.one_of(
+    st.floats(),
+    st.booleans(),
+    st.text("abxyz ", max_size=3),
+    st.lists(st.integers(-2, 2), min_size=1, max_size=3),
+    st.dictionaries(st.sampled_from("abc"), st.integers(0, 1), max_size=2),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(which=st.sampled_from(["polytope", "tree"]), data=st.data())
+def test_a_wrong_typed_field_exits_2_naming_it(tmp_path, capsys, which, data):
+    files = {
+        "polytope": gen_cross_polytope(CrossSpec(2)).to_json(),
+        "tree": full_variable_tree(2).to_json(),
+    }
+    root = "" if which == "polytope" else "tree"
+    path, parent, key = data.draw(st.sampled_from(list(_fields(files[which], root))))
+    parent[key] = data.draw(_wrong_typed.filter(lambda v: type(v) is not type(parent[key])))
+    for name, obj in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run_cli("check-tree", "--polytope", str(tmp_path / "polytope.json"),
+                   "--tree", str(tmp_path / "tree.json"), "--mode", "infeasibility",
+                   "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert re.match(rf"error: {re.escape(path)}[.\[:]", err), (path, err)
+    assert not (tmp_path / "out").exists()

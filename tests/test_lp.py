@@ -241,7 +241,8 @@ def test_eliminate_reaches_the_fraction_reduced_row_echelon_form():
 def _random_mixed_polytope(rng):
     n = rng.randint(1, 3)
     rows = tuple(_random_row(rng, n) for _ in range(rng.randint(0, 5)))
-    return Polytope(n, rows, box=rng.random() < 0.6)
+    rng.random()  # once drew a box flag; kept so the seeded cases stay the same
+    return Polytope(n, rows)
 
 
 def test_enum_vertices_matches_fraction_brute_force():
@@ -261,8 +262,8 @@ def test_enum_vertices_matches_fraction_brute_force():
     for P in cases:
         verts = enum_vertices(P)
         assert verts == brute_vertices(P)
-        sizes.add((P.box, min(len(verts), 3)))
-    assert sizes == {(box, k) for box in (False, True) for k in range(4)}
+        sizes.add(min(len(verts), 3))
+    assert sizes == {0, 1, 2, 3}
 
 
 def test_feasible_points_satisfy_rows_exactly():
@@ -312,10 +313,11 @@ def test_polytope_int_system_is_each_row_for_ref_scaled_without_box_lo():
     for _ in range(30):
         n = rng.randint(1, 4)
         rows = tuple(_random_row(rng, n) for _ in range(rng.randint(0, 5)))
-        P = Polytope(n, rows, box=rng.random() < 0.7)
+        rng.random()  # once drew a box flag; kept so the seeded cases stay the same
+        P = Polytope(n, rows)
         want_refs = [("row", i, side) if r.rel == "=" else ("row", i)
                      for i, r in enumerate(rows) for side in ("le", "ge")[: len(r.as_leq())]]
-        want_refs += [("box_hi", j) for j in range(n)] if P.box else []
+        want_refs += [("box_hi", j) for j in range(n)]
         got = P.int_system()
         assert [entry[0] for entry in got] == want_refs
         for ref, coeffs, rhs, scale in got:
@@ -477,10 +479,10 @@ def test_integer_farkas_recheck_agrees_with_the_fraction_recheck():
         P = gen_cross_polytope(CrossSpec(n, "oracle"))
         rep = proves_infeasibility(full_variable_tree(n), P)
         cases += [(a.polytope(), cert) for a, cert in zip(rep.atoms, rep.certificates)]
-    while len(cases) < 60:  # rational rows, box_lo multipliers, no box
+    while len(cases) < 60:  # rational rows, box_lo multipliers
         n = rng.randint(1, 3)
-        P = Polytope(n, tuple(_random_row(rng, n) for _ in range(rng.randint(1, 4))),
-                     box=rng.random() < 0.7)
+        P = Polytope(n, tuple(_random_row(rng, n) for _ in range(rng.randint(1, 4))))
+        rng.random()  # once drew a box flag; kept so the seeded cases stay the same
         out = lp_feasible(P)
         if out.status == "infeasible":
             cases.append((P, out.farkas))
@@ -512,3 +514,10 @@ def test_verify_farkas_rejects_a_negative_multiplier_and_a_zero_rhs():
             check(P, zero_rhs)
         with pytest.raises(InternalError, match="nonnegative rhs"):
             check(P, ())
+
+
+def test_an_unbounded_simplex_answer_is_an_internal_error(monkeypatch):
+    # Every polytope lies in [0,1]^n, so the LP layer has no unbounded status.
+    monkeypatch.setattr(simplex, "solve", lambda *a, **kw: simplex.SimplexResult("unbounded"))
+    with pytest.raises(InternalError, match="unbounded LP over a box polytope"):
+        lp_optimize(Polytope(2), (1, 1))

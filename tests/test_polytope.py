@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from bblab.errors import DimensionMismatch
+from bblab.errors import DimensionMismatch, MalformedInput
 from bblab.families import CrossSpec, PerturbedSpec, gen_cross_polytope, gen_perturbed_cross
 from bblab.polytope import LinearConstraint, Polytope, geq_row, leq_row
 from bblab.rationals import clear_denominators, dot, point_to_ints
@@ -119,7 +119,7 @@ def test_polytope_json_roundtrip_explicit():
                  provenance={"family": "demo"})
     obj = json.loads(json.dumps(P.to_json()))
     Q = Polytope.from_json(obj)
-    assert Q.dim == 2 and Q.box and Q.rows == P.rows
+    assert Q.dim == 2 and obj["box"] is True and Q.rows == P.rows
     assert obj["rows"][0]["coeffs"] == ["1/2", "1"]
     assert Q.provenance == {"family": "demo"}
 
@@ -130,6 +130,25 @@ def test_polytope_json_roundtrip_oracle():
     assert Q.oracle is not None and Q.oracle.family_size() == 16
     x = (F(1, 2),) * 4
     assert Q.contains(x) and not Q.contains((0,) * 4)
+
+
+def test_polytope_files_lie_in_the_box():
+    obj = Polytope(1, (leq_row((1,), F(1, 2)),)).to_json()
+    assert obj["box"] is True
+    del obj["box"]
+    assert Polytope.from_json(obj).to_json()["box"] is True
+    for bad in (False, 1, "true", None):
+        with pytest.raises(MalformedInput, match=r"^box: must be true or absent"):
+            Polytope.from_json({**obj, "box": bad})
+
+
+def test_row_for_ref_resolves_oracle_rows_of_the_family_only():
+    P = gen_cross_polytope(CrossSpec(3, "oracle"))
+    row = P.oracle.find_violated((0, 0, 0))
+    assert P.row_for_ref(("oracle", row)) == row.as_leq()[0]
+    for Q, cited in ((P, leq_row((1, 1, 1), 1)), (Polytope(3), row)):
+        with pytest.raises(ValueError, match="cites a row outside the oracle family"):
+            Q.row_for_ref(("oracle", cited))
 
 
 def test_contains_checks_box_rows_and_oracle():
