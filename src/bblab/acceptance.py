@@ -1,10 +1,10 @@
 """The acceptance suite: one function per criterion, exact tolerances.
 
 Every criterion is implemented literally; each returns (passed, message).
-Trees and certificates produced along the way are collected in a registry
-and re-verified through the independent checker path by the final
-criterion.  ``run_all`` prints one PASS/FAIL line per criterion, and its
-wall time to stderr; the CLI verb calls it.
+Trees produced along the way are appended, as ReplayItems, to one list
+that every criterion is passed, and re-verified through the independent
+checker path by the final criterion.  ``run_all`` prints one PASS/FAIL
+line per criterion, and its wall time to stderr; the CLI verb calls it.
 
 Criterion 3 asserts that the separation resistance of the center of the
 2-dimensional cross-polytope is exactly 3 leaves, and that the separating
@@ -15,7 +15,7 @@ section has the analysis of why that bound counts nodes, not leaves.
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb
 
@@ -76,15 +76,7 @@ class ReplayItem:
     xstar: tuple | None = None
 
 
-@dataclass
-class Registry:
-    items: list = field(default_factory=list)
-
-    def add(self, item):
-        self.items.append(item)
-
-
-def criterion_1(reg: Registry):
+def criterion_1(reg: list):
     """Full variable tree proves P_n infeasible with exactly 2^(n+1)-1 nodes."""
     for n in range(1, 11):
         P = gen_cross_polytope(CrossSpec(n, "oracle"))
@@ -94,11 +86,11 @@ def criterion_1(reg: Registry):
             return False, f"n={n}: tree failed to prove infeasibility"
         if tree.size != 2 ** (n + 1) - 1:
             return False, f"n={n}: size {tree.size} != {2 ** (n + 1) - 1}"
-        reg.add(ReplayItem("infeasibility", P, tree))
+        reg.append(ReplayItem("infeasibility", P, tree))
     return True, "n=1..10 proved infeasible at exactly 2^(n+1)-1 nodes"
 
 
-def criterion_2(reg: Registry):
+def criterion_2(reg: list):
     """min_tree_size tightness for P_1 and P_2 at M=2, plus brute confirmation."""
     P1 = gen_cross_polytope(CrossSpec(1))
     r1 = min_tree_size(P1, 2, 4)
@@ -115,7 +107,7 @@ def criterion_2(reg: Registry):
     return True, "Exact(2)/Exact(4) and no <=3-leaf proof exists for P_2 at M=2"
 
 
-def criterion_3(reg: Registry):
+def criterion_3(reg: list):
     """Separation resistance of 1/2.1 from P_2 is Exact(3) for M = 1, 2, 3.
 
     The search tries 1, 2, then 3 leaves, so a 3-leaf answer also shows that
@@ -139,14 +131,14 @@ def criterion_3(reg: Registry):
         if r.tree.size < node_bound:
             return False, f"M={M}: {r.tree.size} nodes < bound {node_bound}"
         if M == 2:
-            reg.add(ReplayItem("separates", P2, r.tree, xstar=center))
+            reg.append(ReplayItem("separates", P2, r.tree, xstar=center))
     return True, (
         f"Exact(3) leaves for M=1,2,3 (no <=2-leaf tree separates); "
         f"{r.tree.size} nodes >= {node_bound}"
     )
 
 
-def criterion_4(reg: Registry):
+def criterion_4(reg: list):
     """Packing/cover criticality across n in {4,6,8}, k = 2..n/2."""
     msgs = []
     for n in (4, 6, 8):
@@ -167,12 +159,12 @@ def criterion_4(reg: Registry):
                     f"engine tree for Q({n},{k}): {rep.status}, "
                     f"{rep.nodes} nodes < bound {want}"
                 )
-            reg.add(ReplayItem("infeasibility", Q, rep.tree))
+            reg.append(ReplayItem("infeasibility", Q, rep.tree))
             msgs.append(f"Q({n},{k}): {rep.nodes}>={want}")
     return True, "; ".join(msgs)
 
 
-def criterion_5(reg: Registry):
+def criterion_5(reg: list):
     """Cardinality facet rank is n for 4 <= n <= 10, 2 <= k <= n/2."""
     for n in range(4, 11):
         for k in range(2, n // 2 + 1):
@@ -182,7 +174,7 @@ def criterion_5(reg: Registry):
     return True, "Facet(n) for all 4 <= n <= 10, 2 <= k <= n/2"
 
 
-def criterion_6(reg: Registry):
+def criterion_6(reg: list):
     """Set cover is the flip image of packing, rows and 0/1 points alike."""
     for n in range(4, 11):
         for k in range(2, n // 2 + 1):
@@ -250,7 +242,7 @@ def _random_tree(rng, dim, depth):
     )
 
 
-def criterion_7(reg: Registry):
+def criterion_7(reg: list):
     """Simulation lemma, exact: vertices of transformed atoms map into the
     corresponding original atoms, over 50 random tree/map/polytope triples."""
     rng = random.Random(20240707)
@@ -276,7 +268,7 @@ def criterion_7(reg: Registry):
     return True, f"50 random triples, {checked} vertex containments hold exactly"
 
 
-def criterion_8(reg: Registry):
+def criterion_8(reg: list):
     """Perturbed cross-polytope at n=12 over 20 fixed seeds."""
     n, s = 12, ceil(Fraction(4 * 12, 10))
     good = 0
@@ -298,7 +290,7 @@ def criterion_8(reg: Registry):
     return True, f"{good}/20 seeds infeasible with all Half_{s} points feasible"
 
 
-def criterion_9(reg: Registry):
+def criterion_9(reg: list):
     """Shattering on random families over {0,1}^5 and the entropy bound."""
     rng = random.Random(1159)
     cube = [tuple(m >> i & 1 for i in range(5)) for m in range(32)]
@@ -345,7 +337,7 @@ def _is_tour(n, point):
     return len(seen) == n
 
 
-def criterion_10(reg: Registry):
+def criterion_10(reg: list):
     """TSP desk scale: solve with random rational weights, verify the tour."""
     sizes = []
     for n in (6, 8, 10):
@@ -362,15 +354,15 @@ def criterion_10(reg: Registry):
         if not T.contains(rep.point):
             return False, f"n={n}: incumbent violates a relaxation row"
         witnesses = rep.leaf_witnesses()
-        reg.add(ReplayItem("solves", T, rep.tree, objective=c, witnesses=witnesses))
+        reg.append(ReplayItem("solves", T, rep.tree, objective=c, witnesses=witnesses))
         sizes.append(f"n={n}: {rep.nodes} nodes")
     return True, "solved with verified tours (" + "; ".join(sizes) + ")"
 
 
-def criterion_11(reg: Registry):
+def criterion_11(reg: list):
     """Replay every registered tree through the independent checkers."""
     mismatches = 0
-    for item in reg.items:
+    for item in reg:
         try:
             if item.kind == "infeasibility":
                 rep = proves_infeasibility(item.tree, item.polytope)
@@ -385,8 +377,8 @@ def criterion_11(reg: Registry):
         if not ok:
             mismatches += 1
     if mismatches:
-        return False, f"{mismatches}/{len(reg.items)} replays mismatched"
-    return True, f"all {len(reg.items)} trees replayed with zero mismatches"
+        return False, f"{mismatches}/{len(reg)} replays mismatched"
+    return True, f"all {len(reg)} trees replayed with zero mismatches"
 
 
 CRITERIA = [
@@ -410,7 +402,7 @@ def run_all(out=print):
     Each criterion's wall time goes to stderr, so ``out`` stays
     deterministic.
     """
-    reg = Registry()
+    reg = []
     failures = 0
     for i, (label, fn) in enumerate(CRITERIA, start=1):
         start = time.perf_counter()

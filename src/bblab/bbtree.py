@@ -42,11 +42,14 @@ class Disjunction:
     pi0: int
 
     def __post_init__(self):
-        pi = _shared_pi(tuple(int(v) for v in self.pi))
+        given = tuple(self.pi)
+        pi, pi0 = tuple(int(v) for v in given), int(self.pi0)
+        if pi != given or pi0 != self.pi0:
+            raise IllegalDisjunction(f"pi and pi0 must be integers: {given}, {self.pi0}")
         if not any(pi):
             raise IllegalDisjunction("pi must have a nonzero entry")
-        object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "pi0", int(self.pi0))
+        object.__setattr__(self, "pi", _shared_pi(pi))
+        object.__setattr__(self, "pi0", pi0)
 
     @property
     def dim(self):

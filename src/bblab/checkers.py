@@ -33,27 +33,27 @@ _ENUM_DIM_CAP = 24
 def enum_integer_points(P: Polytope, first_only=False):
     """All 0/1 points of P, by exhaustive enumeration in mask order.
 
-    Uses the polytope's oracle as a fast violation finder when present;
-    explicit rows are pre-integerized so each candidate costs integer
-    arithmetic only.
+    Explicit rows are pre-integerized so each candidate costs integer
+    arithmetic only; the oracle, when present, is asked last.
     """
     n = P.dim
     if n > _ENUM_DIM_CAP:
         raise DimensionTooLarge(f"0/1 enumeration beyond dim {_ENUM_DIM_CAP}")
     oracle = P.oracle
-    # Rows the oracle already answers for exactly are left to it; for
-    # hint-style oracles over explicit rows this turns the scan per point
-    # into a single row evaluation in the common case.
-    skip = 0
-    if oracle is not None and oracle.rows_are_explicit:
-        family = getattr(oracle, "rows", ())
-        if P.rows[: len(family)] == tuple(family):
-            skip = len(family)
-    introws = [
-        (*coeffs, rhs) for row in P.rows[skip:] for coeffs, rhs, _ in row.int_leq
-    ]
+    introws = [(*coeffs, rhs) for row in P.rows for coeffs, rhs, _ in row.int_leq]
+    # A row's LHS is largest at its peak, the 0/1 point with ones where its
+    # coefficients are positive, so a row is most likely to cut its own peak.
+    # Trying those rows first makes the scan of a cross-type family one row
+    # per point; the full scan after it keeps the answer exact.
+    by_peak = {}
+    for row in introws:
+        peak = sum(1 << j for j in range(n) if row[j] > 0)
+        by_peak.setdefault(peak, []).append(row)
     out = []
     for mask in range(2 ** n):
+        peaked = by_peak.get(mask)
+        if peaked and _kernel.first_violated_mask(peaked, mask) >= 0:
+            continue
         if _kernel.first_violated_mask(introws, mask) >= 0:
             continue
         point = tuple(mask >> i & 1 for i in range(n))

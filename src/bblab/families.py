@@ -2,8 +2,9 @@
 
 Cross-polytope, packing (optionally with the covering row), set-cover,
 Gaussian-perturbed cross-polytope, and the TSP subtour relaxation.  The
-exponential families can be produced either with explicit rows (small n)
-or backed by an exact separation oracle that returns a most-violated row.
+cross and packing families can be produced either with explicit rows
+(small n) or backed by an exact separation oracle that returns a
+most-violated row; every other family is explicit.
 
 All generated polytopes carry a provenance header (family, parameters,
 seed, rounding denominator) so emitted files are self-describing.
@@ -13,13 +14,12 @@ import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from math import comb
 
 from .errors import SpecViolation, TooLarge, TooLargeForExplicit
 from .polytope import EQ, GE, LE, LinearConstraint, Polytope
-from .rationals import integer, point_to_ints, rat_str
+from .rationals import integer, rat_str
 
 _EXPLICIT_CAP = 16  # 2^n explicit rows allowed up to here
 
@@ -55,7 +55,6 @@ class CrossOracle:
     coordinatewise."""
 
     family = "cross"
-    rows_are_explicit = False
 
     def __init__(self, n):
         self.n = n
@@ -128,7 +127,6 @@ def cover_row(n, k):
 
 class PackingOracle:
     family = "packing"
-    rows_are_explicit = False
 
     def __init__(self, n, k):
         self.n, self.k = n, k
@@ -237,50 +235,6 @@ def gaussian_noise(spec: PerturbedSpec, mask, i) -> Fraction:
     return Fraction(units, spec.denom)
 
 
-class PerturbedHintOracle:
-    """Violation finder over the already-explicit perturbed rows.
-
-    The row indexed by I = {i : x_i <= 1/2} is the likely violated one for
-    integer points (the unperturbed LHS is minimized there); checking it
-    first makes full 0/1 enumeration linear per point in practice.  Falls
-    back to a complete scan, so answers remain exact.
-    """
-
-    family = "perturbed-cross"
-    rows_are_explicit = True
-
-    def __init__(self, rows, n):
-        self.rows = rows
-        self.n = n
-
-    @cached_property
-    def _rowset(self):
-        return frozenset(r.normalized() for r in self.rows)
-
-    def find_violated(self, point):
-        nums, den = point_to_ints(point)
-        mask = sum(1 << i for i, v in enumerate(nums) if 2 * v <= den)
-        row = self.rows[mask]
-        if not row.holds_at(nums, den):
-            return row
-        for row in self.rows:
-            if not row.holds_at(nums, den):
-                return row
-        return None
-
-    def family_size(self):
-        return len(self.rows)
-
-    def is_family_row(self, row):
-        return row.normalized() in self._rowset
-
-    def explicit_rows(self):
-        return []  # the polytope already lists every row
-
-    def to_json(self):
-        return None
-
-
 def gen_perturbed_cross(spec: PerturbedSpec) -> Polytope:
     """The cross-polytope with iid N(0, 1/20^2) noise on each coefficient and
     right-hand side 1.6n/20; deterministic in the seed, coefficients rounded
@@ -297,7 +251,6 @@ def gen_perturbed_cross(spec: PerturbedSpec) -> Polytope:
             coeffs.append(Fraction(c if mask >> i & 1 else -c, denom))
         shift = n - mask.bit_count()
         rows.append(LinearConstraint(tuple(coeffs), GE, rhs - shift))
-    rows = tuple(rows)
     prov = {
         "family": "perturbed-cross",
         "n": n,
@@ -306,9 +259,7 @@ def gen_perturbed_cross(spec: PerturbedSpec) -> Polytope:
         "rhs": rat_str(spec.rhs),
         "rounding_denom": spec.denom,
     }
-    return Polytope(
-        n, rows, oracle=PerturbedHintOracle(rows, n), provenance=prov
-    )
+    return Polytope(n, rows, provenance=prov)
 
 
 # ------------------------------------------------------------------ tsp

@@ -63,8 +63,6 @@ def _polytope_solve(P, objective=None, maximize=True):
     # its LinearConstraint, and simplex takes the ints as they are.
     sys_rows = P.int_system()
     oracle = P.oracle
-    if oracle is not None and oracle.rows_are_explicit:
-        oracle = None  # every family row is already in the explicit pool
 
     always = [
         k
@@ -90,7 +88,7 @@ def _polytope_solve(P, objective=None, maximize=True):
         rows = [coeffs for _, coeffs, _, _ in entries]
         rhs = [b for _, _, b, _ in entries]
         res = simplex.solve(n, rows, [LE] * len(rows), rhs, objective=objective,
-                            maximize=maximize, want_farkas=True)
+                            maximize=maximize)
 
         if res.status == "infeasible":
             cert = _assemble_farkas(P, entries, res.farkas, n)
@@ -285,9 +283,12 @@ def separating_hyperplane(xstar, hull_points):
     """A strict separator (pi, pi0) with pi.x* > pi0 >= pi.p for the points.
 
     Verifies the precondition first: if x* is a convex combination of the
-    given points, raises NotSeparable carrying the weights.  The returned
+    given points, raises NotSeparable carrying the weights; no points at all
+    raise EmptyList.  The returned
     separator is scaled so max |pi_i| = 1.
     """
+    if not hull_points:
+        raise EmptyList("separating_hyperplane from an empty point set")
     xstar = rat_vector(xstar)
     hull_points = [rat_vector(p) for p in hull_points]
     n = len(xstar)

@@ -21,7 +21,7 @@ def rat(value) -> Fraction:
     if type(value) is int:  # a bool is refused, not read as 0 or 1
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        return Fraction(_digits(value))
     raise TypeError(f"not a rational: {value!r}")
 
 
@@ -31,8 +31,15 @@ def integer(value) -> int:
     if type(value) is int:
         return value
     if isinstance(value, str):
-        return int(value.strip())
+        return int(_digits(value))
     raise TypeError(f"not an integer: {value!r}")
+
+
+def _digits(text):
+    # int() and Fraction() read "1_0" as 10; a file's numbers carry no "_".
+    if "_" in text:
+        raise ValueError(f"digit separator in number: {text!r}")
+    return text.strip()
 
 
 def parse_list(values, path, parse=rat):

@@ -18,7 +18,7 @@ tableau's common denominator; ``Fraction`` appears only in the returned
 point, value and multipliers.
 
 Callers are responsible for splitting free variables and for presenting
-box upper bounds as rows.  Farkas certificates are available whenever all
+box upper bounds as rows.  Farkas certificates are returned whenever all
 relations are "<=": on infeasibility the returned multipliers u satisfy
 u >= 0, sum_i u_i row_i >= 0 componentwise, and u . rhs < 0, verified
 exactly before returning.
@@ -44,10 +44,8 @@ class SimplexResult:
     farkas: tuple | None = None
 
 
-def solve(nvars, rows, rels, rhs, objective=None, maximize=False, want_farkas=False):
+def solve(nvars, rows, rels, rhs, objective=None, maximize=False):
     m = len(rows)
-    if want_farkas and any(r != LE for r in rels):
-        raise ValueError("Farkas extraction requires an all-<= system")
 
     # Each row as coprime integers; the positive scale maps multipliers back.
     introws, intrhs, scales = [], [], []
@@ -149,7 +147,7 @@ def solve(nvars, rows, rels, rhs, objective=None, maximize=False, want_farkas=Fa
             raise InternalError("phase-1 objective is bounded by construction")
         if p1[-1] < 0:  # infeasibility measure -p1[-1]/den is positive
             farkas = None
-            if want_farkas:
+            if len(slack_col) == m:  # every relation is <=
                 farkas = _extract_farkas(p1, state["den"], slack_col, introws, intrhs, scales)
             return SimplexResult("infeasible", farkas=farkas)
         _drive_out_artificials(tableau, basis, [p for p in (p2,) if p is not None],

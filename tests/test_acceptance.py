@@ -14,7 +14,7 @@ section has the analysis.
 
 from bblab import acceptance
 
-_registry = acceptance.Registry()
+_registry = []
 _RESULTS = {}
 
 

@@ -49,6 +49,14 @@ def test_disjunction_legality_and_rows():
     assert d.cuts_off((F(3, 2), F(-4, 5)))  # value 31/10 in (3, 4)
     with pytest.raises(IllegalDisjunction):
         Disjunction((0, 0), 1)
+    # non-integers are refused, not truncated
+    for pi, pi0 in (((F(3, 2), 0), F(1, 2)), ((F(3, 2), 0), 0), ((1, 0), F(1, 2)),
+                    ((0.5, 1), 0)):
+        with pytest.raises(IllegalDisjunction, match="must be integers"):
+            Disjunction(pi, pi0)
+    d = Disjunction((F(2), F(-1)), F(3))
+    assert (d.pi, d.pi0) == ((2, -1), 3)
+    assert all(type(v) is int for v in (*d.pi, d.pi0))
 
 
 def test_tree_shape_accounting():

@@ -258,6 +258,9 @@ def test_malformed_polytope_and_tree_files_exit_2_naming_the_field(tmp_path, cap
     cases = [
         ({**good_p, "rows": [bad_row]}, good_t, "rows[0].coeffs"),
         ({**good_p, "dim": 2.7}, good_t, "dim"),
+        ({**good_p, "dim": "1_0"}, good_t, "dim"),
+        ({**good_p, "rows": [{**good_p["rows"][0], "coeffs": ["1_0/3", "1"]}]}, good_t,
+         "rows[0].coeffs[0]"),
         ({**good_p, "box": False}, good_t, "box"),
         ({**good_p, "rows": [], "oracle": {"family": "cross", "n": 2.5}}, good_t, "oracle"),
         ({**good_p, "rows": [], "oracle": {"family": "cross", "n": 3}}, good_t, "oracle"),

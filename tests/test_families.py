@@ -25,6 +25,7 @@ from bblab.families import (
     tsp_edges,
 )
 from bblab.lp import lp_optimize
+from bblab.polytope import Polytope
 
 F = Fraction
 HALF = F(1, 2)
@@ -127,13 +128,28 @@ def test_perturbed_determinism_and_exact_fields():
 
 
 def test_perturbed_instance_is_pinned():
-    # The n = 12, seed 0 instance of acceptance criterion 8, as written out by
-    # the all-Fraction generator that the integer-grid one replaced.
+    # The n = 12, seed 0 instance of acceptance criterion 8.  Files written by
+    # the all-Fraction generator that the integer-grid one replaced carried
+    # "oracle": null; with that key put back, the digest is theirs.
     Q = gen_perturbed_cross(PerturbedSpec(12, seed=0))
-    text = json.dumps(Q.to_json(), sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == (
+    obj = Q.to_json()
+    assert "oracle" not in obj
+
+    def digest(obj):
+        return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+    assert digest(obj) == "e011bd342baf997d1b802f9c95530ac47237ef68d84d431fdfabf4011a45be2a"
+    assert digest({**obj, "oracle": None}) == (
         "42f3db5c29c3a174ec87cfb08b37bb6b455360232140dce23af8411376fd56dc"
     )
+
+
+def test_perturbed_file_with_null_oracle_still_loads():
+    Q = gen_perturbed_cross(PerturbedSpec(5, seed=4))
+    old_file = json.loads(json.dumps({**Q.to_json(), "oracle": None}))
+    P = Polytope.from_json(old_file)
+    assert P == Q and P.oracle is None
+    assert P.to_json() == Q.to_json()
 
 
 def test_perturbed_coefficients_are_one_plus_gaussian_noise():
@@ -152,19 +168,6 @@ def test_perturbed_coefficients_near_unperturbed_values():
         for i, coeff in enumerate(row.coeffs):
             sign = 1 if mask >> i & 1 else -1
             assert abs(coeff - sign) < F(1, 2)  # noise sd is 1/20
-
-
-def test_perturbed_hint_oracle_agrees_with_rows():
-    P = gen_perturbed_cross(PerturbedSpec(6, seed=5))
-    rng = random.Random(0)
-    for _ in range(40):
-        x = tuple(F(rng.randint(0, 4), 4) for _ in range(6))
-        got = P.oracle.find_violated(x)
-        brute = next((r for r in P.rows if not r.satisfied_by(x)), None)
-        assert (got is None) == (brute is None)
-        if got is not None:
-            assert not got.satisfied_by(x)
-            assert P.oracle.is_family_row(got)
 
 
 def test_tsp_generator_examples():

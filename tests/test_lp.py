@@ -166,6 +166,10 @@ def test_separating_hyperplane_examples():
     pi, pi0 = separating_hyperplane((F(2),), [(0,), (1,)])
     assert (pi, pi0) == ((1,), 1)
 
+    # with no hull rows the separator LP is unbounded; the input is refused
+    with pytest.raises(EmptyList):
+        separating_hyperplane((F(1, 2),), [])
+
 
 def test_separating_hyperplane_random_strictness():
     rng = random.Random(5)

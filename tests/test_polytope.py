@@ -164,9 +164,9 @@ def test_materialized_expands_oracle_rows_once():
     assert M.oracle is None and len(M.rows) == 8
     E = gen_cross_polytope(CrossSpec(3))
     assert {r.normalized() for r in M.rows} == {r.normalized() for r in E.rows}
-    # hint-style oracles over explicit rows must not duplicate anything
+    # an explicit family is its own materialization
     Q = gen_perturbed_cross(PerturbedSpec(4, seed=1))
-    assert len(Q.materialized().rows) == len(Q.rows)
+    assert Q.materialized() is Q
 
 
 def test_dimension_mismatch_rejected():

@@ -30,9 +30,12 @@ def test_known_fixed_cases():
                       objective=[1, 1], maximize=True)
     assert r.status == "optimal" and r.value == 1
 
-    r = simplex.solve(1, [[1], [-1]], [LE, LE], [0, -1], want_farkas=True)
+    r = simplex.solve(1, [[1], [-1]], [LE, LE], [0, -1])
     assert r.status == "infeasible"
     assert r.farkas == (Fraction(1), Fraction(1))
+    # an equality row leaves the system without a <=-form certificate
+    r = simplex.solve(1, [[1], [1]], [LE, EQ], [0, 1])
+    assert r.status == "infeasible" and r.farkas is None
 
     r = simplex.solve(2, [[1, 1]], [EQ], [1], objective=[0, 1], maximize=True)
     assert r.status == "optimal" and r.value == 1
@@ -47,8 +50,7 @@ def test_random_lps_match_vertex_enumeration(nvars, nrows, trials):
     for _ in range(trials):
         rows, rhs = random_leq_instance(rng, nvars, nrows)
         c = [frac(rng) for _ in range(nvars)]
-        got = simplex.solve(nvars, rows, [LE] * len(rows), rhs,
-                            objective=c, maximize=True, want_farkas=True)
+        got = simplex.solve(nvars, rows, [LE] * len(rows), rhs, objective=c, maximize=True)
         want_status, want_value = brute_lp(nvars, rows, rhs, objective=c)
         assert got.status == want_status
         if want_status == "optimal":
@@ -64,7 +66,7 @@ def test_farkas_certificates_are_exact(seed):
     found = 0
     while found < 8:
         rows, rhs = random_leq_instance(rng, 2, 4)
-        got = simplex.solve(2, rows, [LE] * len(rows), rhs, want_farkas=True)
+        got = simplex.solve(2, rows, [LE] * len(rows), rhs)
         if got.status != "infeasible":
             continue
         found += 1
@@ -127,11 +129,9 @@ def test_scaled_and_integer_rows_give_the_same_answer(seed):
         irows, irhs = _scaled(rows, rhs, lcm)
         irows = [[int(a) for a in row] for row in irows]
         irhs = [int(b) for b in irhs]
-        base = simplex.solve(nvars, rows, [LE] * m, rhs, objective=c,
-                             maximize=True, want_farkas=True)
+        base = simplex.solve(nvars, rows, [LE] * m, rhs, objective=c, maximize=True)
         for r2, b2, f in ((srows, srhs, ratio), (irows, irhs, lcm)):
-            got = simplex.solve(nvars, r2, [LE] * m, b2, objective=c,
-                                maximize=True, want_farkas=True)
+            got = simplex.solve(nvars, r2, [LE] * m, b2, objective=c, maximize=True)
             assert (got.status, got.x, got.value) == (base.status, base.x, base.value)
             if got.status != "infeasible":
                 continue
@@ -176,4 +176,4 @@ def test_corrupted_pivot_fails_the_integer_farkas_check(monkeypatch):
 
     _corrupting(monkeypatch, drop_first_multiplier)
     with pytest.raises(InternalError, match="Farkas"):
-        simplex.solve(1, [[1], [-1]], [LE, LE], [0, -1], want_farkas=True)
+        simplex.solve(1, [[1], [-1]], [LE, LE], [0, -1])
