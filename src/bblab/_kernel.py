@@ -9,21 +9,25 @@ IMPLEMENTATION = "python"
 
 
 def pivot_update(rows, r, c, den):
-    """One integer-preserving pivot on entry (r, c) of an integer tableau.
+    """One integer-preserving pivot on entry (r, c) of a condensed tableau.
 
-    ``rows`` is a list of equal-length int lists representing tableau/den
-    with den > 0; every row except the pivot row is updated in place via
-    new = (old * pivot - old_c * pivot_row) // den, which is an exact
-    division.  A negative pivot entry is first negated with its whole row,
-    which negates every updated row too: each row then stands for the same
-    rationals over the positive denominator |pivot|, which is returned.
+    ``rows`` is a list of equal-length int lists standing for tableau/den
+    with den > 0.  As in D. Avis's *lrs*, a condensed tableau stores only
+    the nonbasic columns: row i's basic column is implicit, den in row i
+    and 0 elsewhere.  Every column j != c of every row except r becomes
+    (old * pivot - old_c * pivot_row[j]) // den, an exact division (Edmonds
+    1967).  Column c then holds the leaving variable's column: den in row
+    r and -old_c in each other row.  A negative pivot row is first negated,
+    that den included, so the leaving column holds -den and +old_c: every
+    row then stands for the same rationals over the positive denominator
+    |pivot|, which is returned.
     """
     prow = rows[r]
-    ncols = len(prow)
-    if prow[c] < 0:
-        for j in range(ncols):
-            prow[j] = -prow[j]
     piv = prow[c]
+    prow[c] = den
+    if piv < 0:
+        prow[:] = [-v for v in prow]
+        piv = -piv
     for i in range(len(rows)):
         if i == r:
             continue
@@ -31,11 +35,10 @@ def pivot_update(rows, r, c, den):
         f = row[c]
         if f == 0:
             if piv != den:
-                for j in range(ncols):
-                    row[j] = row[j] * piv // den
+                row[:] = [v * piv // den for v in row]
         else:
-            for j in range(ncols):
-                row[j] = (row[j] * piv - f * prow[j]) // den
+            row[c] = 0
+            row[:] = [(v * piv - f * p) // den for v, p in zip(row, prow)]
     return piv
 
 

@@ -44,7 +44,7 @@ class CrossSpec:
 
 def cross_row(n, mask):
     """The row indexed by J (bitmask): sum_J x + sum_notJ (1-x) >= 1/2."""
-    coeffs = tuple(Fraction(1 if mask >> i & 1 else -1) for i in range(n))
+    coeffs = tuple(1 if mask >> i & 1 else -1 for i in range(n))
     outside = n - mask.bit_count()
     return LinearConstraint(coeffs, GE, HALF - outside)
 
@@ -117,12 +117,12 @@ class PackingSpec:
 
 
 def packing_row(n, S):
-    coeffs = tuple(Fraction(int(i in S)) for i in range(n))
-    return LinearConstraint(coeffs, LE, Fraction(len(S) - 1))
+    coeffs = tuple(int(i in S) for i in range(n))
+    return LinearConstraint(coeffs, LE, len(S) - 1)
 
 
 def cover_row(n, k):
-    return LinearConstraint((Fraction(1),) * n, GE, Fraction(k))
+    return LinearConstraint((1,) * n, GE, k)
 
 
 class PackingOracle:
@@ -179,7 +179,7 @@ def gen_set_cover(n, k) -> Polytope:
     if not 2 <= k <= n / 2:
         raise SpecViolation("need 2 <= k <= n/2")
     rows = tuple(
-        LinearConstraint(tuple(Fraction(int(i in S)) for i in range(n)), GE, Fraction(1))
+        LinearConstraint(tuple(int(i in S) for i in range(n)), GE, 1)
         for S in combinations(range(n), k)
     )
     return Polytope(n, rows, provenance={"family": "set-cover", "n": n, "k": k})
@@ -287,19 +287,19 @@ def gen_tsp_subtour(spec: TspSpec) -> Polytope:
     m = len(edges)
     rows = []
     for v in range(n):
-        coeffs = [Fraction(0)] * m
+        coeffs = [0] * m
         for u in range(n):
             if u != v:
-                coeffs[eidx[(min(u, v), max(u, v))]] = Fraction(1)
-        rows.append(LinearConstraint(tuple(coeffs), EQ, Fraction(2)))
+                coeffs[eidx[(min(u, v), max(u, v))]] = 1
+        rows.append(LinearConstraint(tuple(coeffs), EQ, 2))
     for size in range(2, n - 1):
         for rest in combinations(range(1, n), size - 1):
             W = {0, *rest}
-            coeffs = [Fraction(0)] * m
+            coeffs = [0] * m
             for (u, v) in edges:
                 if (u in W) != (v in W):
-                    coeffs[eidx[(u, v)]] = Fraction(1)
-            rows.append(LinearConstraint(tuple(coeffs), GE, Fraction(2)))
+                    coeffs[eidx[(u, v)]] = 1
+            rows.append(LinearConstraint(tuple(coeffs), GE, 2))
     return Polytope(
         m, tuple(rows), provenance={"family": "tsp-subtour", "cities": n}
     )

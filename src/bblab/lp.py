@@ -345,9 +345,12 @@ def _eliminate(rows, ncols):
 
     ``rows`` is a list of equal-length int lists.  Each column's pivot is the
     first remaining row with a nonzero entry there, swapped into place and
-    applied by ``_kernel.pivot_update``, the simplex's integer-preserving
-    step.  Returns (rank, den): the k-th pivot sits in row k, and every row
-    then stands for itself divided by den > 0.
+    applied by ``_kernel.pivot_update``, the simplex's condensed
+    integer-preserving step.  Returns (rank, den): the k-th pivot sits in
+    row k, and every column not pivoted (the rhs among them) then holds
+    the reduced row echelon form times den > 0.  A pivoted column holds
+    the column of the implicit unit it replaced, not a unit column; no
+    caller reads it.
     """
     rank, den = 0, 1
     for col in range(ncols):

@@ -16,9 +16,12 @@ from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     InvalidPermutation,
+    MalformedInput,
     NonCanonicalMap,
+    json_field,
 )
 from .polytope import EQ, LinearConstraint, Polytope
+from .rationals import integer, parse_list
 
 
 @dataclass(frozen=True)
@@ -73,15 +76,26 @@ class AffineMap:
         }
 
     @classmethod
-    def from_json(cls, obj):
+    def from_json(cls, obj, path=""):
+        """Parse a map file; a malformed field raises MalformedInput naming
+        its JSON path, e.g. ``C[0][0]``, ``d[1]`` or ``spec.n``.  Entries
+        are integers or "p" strings: a float or a bool is refused, not
+        truncated."""
+        if not isinstance(obj, dict):
+            raise MalformedInput(f"{path or 'map'}: not a JSON object")
+        with json_field(_at(path, "C")):
+            rows = obj["C"]
+        if not isinstance(rows, list):
+            raise MalformedInput(f"{_at(path, 'C')}: not a list: {rows!r}")
+        C = tuple(parse_list(row, f"{_at(path, 'C')}[{i}]", integer)
+                  for i, row in enumerate(rows))
+        with json_field(_at(path, "d")):
+            d = parse_list(obj["d"], _at(path, "d"), integer)
         kind = obj.get("kind", "raw")
-        spec = _spec_from_json(kind, obj.get("spec"))
-        return cls(
-            tuple(tuple(int(v) for v in row) for row in obj["C"]),
-            tuple(int(v) for v in obj["d"]),
-            kind=kind,
-            spec=spec,
-        )
+        if kind not in _KINDS:
+            raise MalformedInput(f"{_at(path, 'kind')}: unknown map kind {kind!r}")
+        spec = _spec_from_json(kind, obj.get("spec"), _at(path, "spec"))
+        return cls(C, d, kind=kind, spec=spec)
 
 
 @dataclass(frozen=True)
@@ -258,18 +272,32 @@ def _spec_to_json(kind, spec):
     return None
 
 
-def _spec_from_json(kind, obj):
-    if obj is None:
+def _at(path, name):
+    return f"{path}.{name}" if path else name
+
+
+_KINDS = ("raw", "flip", "embed", "dup", "compose")
+
+
+def _spec_from_json(kind, obj, path):
+    if kind == "raw":
         return None
-    if kind == "flip":
-        return FlipSpec(int(obj["n"]), frozenset(obj["J"]))
-    if kind == "embed":
-        return EmbedSpec(
-            int(obj["n"]), int(obj["zeros"]), int(obj["ones"]),
-            tuple(obj["positions"]),
-        )
-    if kind == "dup":
-        return DupSpec(int(obj["n"]), tuple(obj["tuple"]))
+    if not isinstance(obj, dict):
+        raise MalformedInput(f"{path}: a {kind!r} map needs a spec object, not {obj!r}")
     if kind == "compose":
-        return (AffineMap.from_json(obj["outer"]), AffineMap.from_json(obj["inner"]))
-    return None
+        return tuple(AffineMap.from_json(obj.get(side), _at(path, side))
+                     for side in ("outer", "inner"))
+
+    def num(name):
+        with json_field(_at(path, name)):
+            return integer(obj[name])
+
+    def nums(name):
+        with json_field(_at(path, name)):
+            return parse_list(obj[name], _at(path, name), integer)
+
+    if kind == "flip":
+        return FlipSpec(num("n"), frozenset(nums("J")))
+    if kind == "embed":
+        return EmbedSpec(num("n"), num("zeros"), num("ones"), nums("positions"))
+    return DupSpec(num("n"), nums("tuple"))

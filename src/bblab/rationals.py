@@ -14,14 +14,26 @@ from math import gcd
 from .errors import MalformedInput, json_field
 
 
+# One shared Fraction per small integer: rows are mostly 0 and +-1, and a
+# Fraction is immutable, so every row can hold the same few instances.
+_SMALL = {v: Fraction(v) for v in range(-4, 5)}
+
+
 def rat(value) -> Fraction:
-    """Parse a rational from an int, Fraction, or a "p/q" / "p" string."""
+    """Parse a rational from an int, Fraction, or a "p/q" / "p" string.
+
+    An int or string in -4..4 comes back as its one shared instance.  A
+    Fraction comes back as it is: testing its denominator would cost every
+    coefficient a property call, so generators pass small integers as ints.
+    """
     if isinstance(value, Fraction):
         return value
     if type(value) is int:  # a bool is refused, not read as 0 or 1
-        return Fraction(value)
+        small = _SMALL.get(value)
+        return Fraction(value) if small is None else small
     if isinstance(value, str):
-        return Fraction(_digits(value))
+        value = Fraction(_digits(value))
+        return _SMALL.get(value.numerator, value) if value.denominator == 1 else value
     raise TypeError(f"not a rational: {value!r}")
 
 

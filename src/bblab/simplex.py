@@ -1,10 +1,23 @@
 """Exact two-phase primal simplex over the rationals.
 
 The tableau is kept as an integer matrix with one shared positive
-denominator (integer pivoting): a pivot replaces every entry by
-(old * pivot - old_c * pivot_row) / den, an exact integer division, so no
-per-entry gcd normalization is needed and no floating point appears
-anywhere.  Bland's rule (lowest eligible index) guarantees termination.
+denominator (integer pivoting, Edmonds 1967): a pivot replaces every entry
+by (old * pivot - old_c * pivot_row) / den, an exact integer division, so
+no per-entry gcd normalization is needed and no floating point appears
+anywhere.  As in D. Avis's *lrs* (2000), the tableau is condensed: it
+keeps only the nonbasic columns, each carrying its variable's label, and
+the rhs.  Row i's basic column is implicit (den in row i, 0 elsewhere), so
+a pivot costs m x (k + 1) entries for k nonbasic columns, not one column
+per slack and artificial as well.  The pivot hands the entering column to
+the leaving variable; an artificial that leaves is dropped at once, since
+it never re-enters.
+
+Labels are the full tableau's column indices: the structurals, then one
+slack per "<=" row, then one artificial per equality row or negative
+right-hand side.  Bland's rule enters the nonbasic column of lowest label
+with a negative reduced cost and breaks ratio ties by the lowest basic
+label, which guarantees termination.  The pivots, basis, point, value and
+Farkas multipliers are therefore those of the full tableau.
 
 Problem form solved here:
 
@@ -58,56 +71,60 @@ def solve(nvars, rows, rels, rhs, objective=None, maximize=False):
     # Sign-fix so every right-hand side is nonnegative.
     sigma = [1 if b >= 0 else -1 for b in intrhs]
 
-    slack_col = {}
-    ncols = nvars
+    # Labels: the structurals, then a slack per <= row, then an artificial
+    # per equality row or negative right-hand side.
+    slack = {}
     for i in range(m):
         if rels[i] == LE:
-            slack_col[i] = ncols
-            ncols += 1
-    first_art = ncols
-    art_col = {}
+            slack[i] = nvars + len(slack)
+    first_art = nvars + len(slack)
+    art = {}
     for i in range(m):
         if rels[i] == EQ or sigma[i] < 0:
-            art_col[i] = ncols
-            ncols += 1
+            art[i] = first_art + len(art)
 
+    # Nonbasic at the start: the structurals and the slacks of rows whose
+    # artificial is basic.
+    basis = [art[i] if i in art else slack[i] for i in range(m)]
+    slack_rows = [i for i in art if i in slack]
+    labels = list(range(nvars)) + [slack[i] for i in slack_rows]
     tableau = []
-    basis = []
     for i in range(m):
-        row = [0] * (ncols + 1)
-        if sigma[i] > 0:
-            row[:nvars] = introws[i]
-            row[ncols] = intrhs[i]
-        else:
-            row[:nvars] = [-v for v in introws[i]]
-            row[ncols] = -intrhs[i]
-        if i in slack_col:
-            row[slack_col[i]] = sigma[i]
-        if i in art_col:
-            row[art_col[i]] = 1
-            basis.append(art_col[i])
-        else:
-            basis.append(slack_col[i])
-        tableau.append(row)
-
-    den = 1
+        s = sigma[i]
+        tableau.append([s * v for v in introws[i]]
+                       + [s * (k == i) for k in slack_rows] + [s * intrhs[i]])
 
     # Phase-2 objective row, maintained through both phases: minimize c2 . x.
     p2 = None
     if objective is not None:
         c, cscale = _integer_row(list(objective))
-        p2 = [0] * (ncols + 1)
-        p2[:nvars] = [-v for v in c] if maximize else c
+        p2 = ([-v for v in c] if maximize else list(c)) + [0] * (len(slack_rows) + 1)
+    p2s = [p2] if p2 is not None else []
 
-    state = {"den": den, "pivots": 0}
+    den = 1
+    pivots = 0
 
-    def run_bland(objrow, extra_objs, allowed):
+    def pivot(r, col, objs):
+        # Enter labels[col] in row r; the leaving variable takes its column,
+        # unless it is an artificial, which never re-enters: then the
+        # column is dropped.
+        nonlocal den
+        den = _kernel.pivot_update(tableau + objs, r, col, den)
+        basis[r], labels[col] = labels[col], basis[r]
+        if labels[col] >= first_art:
+            del labels[col]
+            for row in tableau + objs:
+                del row[col]
+
+    def run_bland(objs):
+        # Bland's rule: the lowest entering label, then the lowest leaving one.
+        nonlocal pivots
+        obj = objs[0]
         while True:
             enter = -1
-            for j in range(ncols):
-                if allowed[j] and objrow[j] < 0:
+            for j, label in enumerate(labels):
+                if obj[j] < 0 and (enter < 0 or label < labels[enter]):
                     enter = j
-                    break
             if enter < 0:
                 return "optimal"
             leave = -1
@@ -122,53 +139,41 @@ def solve(nvars, rows, rels, rhs, objective=None, maximize=False):
                         leave, best_n, best_d = i, r_n, r_d
             if leave < 0:
                 return "unbounded"
-            state["pivots"] += 1
-            if state["pivots"] > _MAX_PIVOTS:
+            pivots += 1
+            if pivots > _MAX_PIVOTS:
                 raise InternalError("pivot limit exceeded; cycling suspected")
-            state["den"] = _kernel.pivot_update(tableau + [objrow] + extra_objs,
-                                                leave, enter, state["den"])
-            basis[leave] = enter
-
-    allowed = [True] * ncols
-    for i in art_col.values():
-        allowed[i] = False  # artificials never (re-)enter
+            pivot(leave, enter, objs)
 
     # Phase 1: drive the artificials to zero.
-    if art_col:
-        p1 = [0] * (ncols + 1)
-        for i in art_col:
-            row = tableau[i]
-            for j in range(ncols + 1):
-                p1[j] -= row[j]
-        for i in art_col.values():
-            p1[i] = 0
-        status = run_bland(p1, [p2] if p2 is not None else [], allowed)
-        if status == "unbounded":
+    if art:
+        p1 = [-sum(col) for col in zip(*(tableau[i] for i in art))]
+        if run_bland([p1] + p2s) == "unbounded":
             raise InternalError("phase-1 objective is bounded by construction")
         if p1[-1] < 0:  # infeasibility measure -p1[-1]/den is positive
             farkas = None
-            if len(slack_col) == m:  # every relation is <=
-                farkas = _extract_farkas(p1, state["den"], slack_col, introws, intrhs, scales)
+            if len(slack) == m:  # every relation is <=: w is p1 on the slacks
+                at = dict(zip(labels, p1))
+                w = [at.get(slack[i], 0) for i in range(m)]
+                farkas = _extract_farkas(w, den, introws, intrhs, scales)
             return SimplexResult("infeasible", farkas=farkas)
-        _drive_out_artificials(tableau, basis, [p for p in (p2,) if p is not None],
-                               first_art, state)
+        # Pivot basic artificials (at value zero) onto the lowest nonzero
+        # label; a row with no nonzero entry is redundant and dropped.
+        i = 0
+        while i < len(tableau):
+            if basis[i] >= first_art:
+                row = tableau[i]
+                nonzero = [j for j in range(len(labels)) if row[j]]
+                if not nonzero:
+                    del tableau[i]
+                    del basis[i]
+                    continue
+                pivot(i, min(nonzero, key=labels.__getitem__), p2s)
+            i += 1
 
-    # Drop artificial columns for phase 2.
-    if art_col:
-        for row in tableau:
-            del row[first_art:ncols]
-        if p2 is not None:
-            del p2[first_art:ncols]
-        ncols = first_art
-        allowed = allowed[:ncols]
-
-    if p2 is not None:
-        status = run_bland(p2, [], allowed)
-        if status == "unbounded":
-            return SimplexResult("unbounded")
+    if p2 is not None and run_bland(p2s) == "unbounded":
+        return SimplexResult("unbounded")
 
     # The point is nums / den; check it against every row before returning.
-    den = state["den"]
     nums = [0] * nvars
     for i, b in enumerate(basis):
         if b < nvars:
@@ -197,28 +202,10 @@ def _integer_row(values):
     return clear_denominators(values)
 
 
-def _drive_out_artificials(tableau, basis, objs, first_art, state):
-    # Pivot basic artificials (at value zero) onto structural columns; a row
-    # with no structural entry is redundant and dropped.
-    i = 0
-    while i < len(tableau):
-        if basis[i] >= first_art:
-            row = tableau[i]
-            col = next((j for j in range(first_art) if row[j] != 0), -1)
-            if col < 0:
-                del tableau[i]
-                del basis[i]
-                continue
-            state["den"] = _kernel.pivot_update(tableau + objs, i, col, state["den"])
-            basis[i] = col
-        i += 1
-
-
-def _extract_farkas(p1, den, slack_col, introws, intrhs, scales):
+def _extract_farkas(w, den, introws, intrhs, scales):
     # The multipliers on the integer rows are w / den with den > 0, so the
     # certificate's sign tests are exact integer tests on w.
     m = len(introws)
-    w = [p1[slack_col[i]] for i in range(m)]
     if any(wi < 0 for wi in w):
         raise InternalError("negative Farkas multiplier")
     nvars = len(introws[0]) if m else 0

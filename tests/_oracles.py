@@ -9,25 +9,32 @@ The 0/1 and half-point oracles evaluate each row's ``as_leq()`` pairs with
 oracle re-checks a certificate in ``Fraction`` arithmetic, as
 ``lp.verify_farkas`` did before it moved to integers.  Vertices and ranks
 come from a textbook ``Fraction`` Gauss-Jordan elimination, not from the
-integer pivot that ``lp`` runs on.
+integer pivot that ``lp`` runs on.  ``full_tableau_solve`` is the simplex
+as it was before the tableau was condensed: it stores every column, basic
+or not, and pivots them all.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
 from bblab.errors import InternalError
+from bblab.polytope import EQ, LE
 from bblab.rationals import dot
+from bblab.simplex import _integer_row
 
 
-def _gauss_jordan(matrix, ncols):
+def _gauss_jordan(matrix, ncols, tags=None):
     """Reduce a Fraction matrix in place on its first ``ncols`` columns;
-    returns the rank, the k-th pivot (scaled to 1) sitting in row k."""
+    returns the rank, the k-th pivot (scaled to 1) sitting in row k.  A
+    list ``tags``, one entry per row, is swapped along with the rows."""
     r = 0
     for col in range(ncols):
         pivot = next((i for i in range(r, len(matrix)) if matrix[i][col] != 0), -1)
         if pivot < 0:
             continue
         matrix[r], matrix[pivot] = matrix[pivot], matrix[r]
+        if tags is not None:
+            tags[r], tags[pivot] = tags[pivot], tags[r]
         inv = 1 / matrix[r][col]
         matrix[r] = [v * inv for v in matrix[r]]
         for i in range(len(matrix)):
@@ -188,3 +195,115 @@ def brute_verify_farkas(P, cert):
         raise InternalError("Farkas combination is not the zero functional")
     if total >= 0:
         raise InternalError("Farkas combination has nonnegative rhs")
+
+
+def _full_pivot(rows, r, c, den):
+    """Integer pivot on (r, c) of a tableau that stores every column."""
+    prow = rows[r]
+    if prow[c] < 0:
+        prow[:] = [-v for v in prow]
+    piv = prow[c]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[c]
+            row[:] = [(v * piv - f * p) // den for v, p in zip(row, prow)]
+    return piv
+
+
+def full_tableau_solve(nvars, rows, rels, rhs, objective=None, maximize=False):
+    """The two-phase Bland simplex on a full integer tableau: one column per
+    structural, slack and artificial, all pivoted.  Returns (status, x,
+    value, farkas, pivots), pivots counting every pivot made, the driving
+    out of artificials included; x, value and farkas as ``simplex.solve``
+    gives them, with no self-check."""
+    m = len(rows)
+    introws, intrhs, scales = [], [], []
+    for i in range(m):
+        ints, scale = _integer_row(list(rows[i]) + [rhs[i]])
+        introws.append(ints[:nvars])
+        intrhs.append(ints[nvars])
+        scales.append(scale)
+    sigma = [1 if b >= 0 else -1 for b in intrhs]
+    slack_col, art_col = {}, {}
+    ncols = nvars
+    for i in range(m):
+        if rels[i] == LE:
+            slack_col[i] = ncols
+            ncols += 1
+    first_art = ncols
+    for i in range(m):
+        if rels[i] == EQ or sigma[i] < 0:
+            art_col[i] = ncols
+            ncols += 1
+    tableau, basis = [], []
+    for i in range(m):
+        row = [0] * (ncols + 1)
+        row[:nvars] = [sigma[i] * v for v in introws[i]]
+        row[ncols] = sigma[i] * intrhs[i]
+        if i in slack_col:
+            row[slack_col[i]] = sigma[i]
+        if i in art_col:
+            row[art_col[i]] = 1
+        basis.append(art_col[i] if i in art_col else slack_col[i])
+        tableau.append(row)
+    p2 = None
+    if objective is not None:
+        c, cscale = _integer_row(list(objective))
+        p2 = [0] * (ncols + 1)
+        p2[:nvars] = [-v for v in c] if maximize else c
+    state = {"den": 1, "pivots": 0}
+
+    def pivot(objs, r, col):
+        state["den"] = _full_pivot(tableau + objs, r, col, state["den"])
+        state["pivots"] += 1
+        basis[r] = col
+
+    def run_bland(objs):
+        obj = objs[0]
+        while True:
+            enter = next((j for j in range(first_art) if obj[j] < 0), -1)
+            if enter < 0:
+                return "optimal"
+            leave = -1
+            for i, row in enumerate(tableau):
+                a = row[enter]
+                if a > 0 and (leave < 0 or row[-1] * best_d < best_n * a or (
+                        row[-1] * best_d == best_n * a and basis[i] < basis[leave])):
+                    leave, best_n, best_d = i, row[-1], a
+            if leave < 0:
+                return "unbounded"
+            pivot(objs, leave, enter)
+
+    p2s = [p2] if p2 is not None else []
+    if art_col:
+        p1 = [-sum(col) for col in zip(*(tableau[i] for i in art_col))]
+        for j in art_col.values():
+            p1[j] = 0
+        run_bland([p1] + p2s)
+        if p1[-1] < 0:
+            farkas = None
+            if len(slack_col) == m:
+                farkas = tuple(Fraction(p1[slack_col[i]], state["den"]) * scales[i]
+                               for i in range(m))
+            return "infeasible", None, None, farkas, state["pivots"]
+        i = 0
+        while i < len(tableau):
+            if basis[i] >= first_art:
+                col = next((j for j in range(first_art) if tableau[i][j]), -1)
+                if col < 0:
+                    del tableau[i], basis[i]
+                    continue
+                pivot(p2s, i, col)
+            i += 1
+    if p2 is not None and run_bland(p2s) == "unbounded":
+        return "unbounded", None, None, None, state["pivots"]
+    den = state["den"]
+    nums = [0] * nvars
+    for i, b in enumerate(basis):
+        if b < nvars:
+            nums[b] = tableau[i][-1]
+    x = tuple(Fraction(v, den) for v in nums)
+    value = None
+    if objective is not None:
+        value = Fraction(sum(cj * v for cj, v in zip(c, nums)), den) / cscale
+    return "optimal", x, value, None, state["pivots"]

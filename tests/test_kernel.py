@@ -17,33 +17,56 @@ def _gauss_jordan(tab, r, c):
     ]
 
 
+class _Reference:
+    """A condensed tableau's full Fraction tableau: the stored columns, then
+    one unit column per row for the implicit basic variable.  ``labels[j]``
+    is the full column that condensed column j stands for."""
+
+    def __init__(self, rows):
+        m, n = len(rows), len(rows[0])
+        self.full = [[F(v) for v in row] + [F(int(i == t)) for t in range(m)]
+                     for i, row in enumerate(rows)]
+        self.labels = list(range(n))
+        self.basis = [n + i for i in range(m)]
+
+    def pivot(self, r, c):
+        # The entering column becomes basic; the leaving one takes its place.
+        self.full = _gauss_jordan(self.full, r, self.labels[c])
+        self.basis[r], self.labels[c] = self.labels[c], self.basis[r]
+
+    def condensed(self):
+        return [[row[j] for j in self.labels] for row in self.full]
+
+
+def _pivot_both(rows, ref, r, c, den):
+    """Pivot the int tableau and its reference; check every entry."""
+    pivot = rows[r][c]
+    den = _kernel.pivot_update(rows, r, c, den)
+    ref.pivot(r, c)
+    assert den == abs(pivot) > 0  # the new denominator is |pivot|
+    assert [[F(v, den) for v in row] for row in rows] == ref.condensed()
+    return den
+
+
 def test_pivot_update_matches_rational_gauss_jordan():
+    # Any nonzero entry may be a pivot, a column pivoted before included:
+    # it then brings the variable that left back into the basis.
     rng = random.Random(20240501)
+    repivots = 0
     for _ in range(60):
         m, n = rng.randint(2, 5), rng.randint(3, 7)
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
-        den = 1
-        ref = [[F(v) for v in row] for row in rows]
-        used_rows, used_cols = set(), set()
-        for _ in range(min(m, n)):
-            cands = [
-                (r, c)
-                for r in range(m) if r not in used_rows
-                for c in range(n) if c not in used_cols and rows[r][c] != 0
-            ]
+        ref = _Reference(rows)
+        den, pivoted = 1, set()
+        for _ in range(rng.randint(1, 2 * m)):
+            cands = [(r, c) for r in range(m) for c in range(n) if rows[r][c]]
             if not cands:
                 break
             r, c = rng.choice(cands)
-            used_rows.add(r)
-            used_cols.add(c)
-            pivot_row = list(rows[r])
-            den = _kernel.pivot_update(rows, r, c, den)
-            ref = _gauss_jordan(ref, r, c)
-            # the new denominator is |pivot|; a negative pivot row is negated
-            sign = 1 if pivot_row[c] > 0 else -1
-            assert den == sign * pivot_row[c] > 0
-            assert rows[r] == [sign * v for v in pivot_row]
-            assert [[F(v, den) for v in row] for row in rows] == ref
+            repivots += c in pivoted
+            pivoted.add(c)
+            den = _pivot_both(rows, ref, r, c, den)
+    assert repivots > 20
 
 
 def test_negative_pivots_keep_the_denominator_positive():
@@ -56,32 +79,21 @@ def test_negative_pivots_keep_the_denominator_positive():
         m, n = rng.randint(2, 5), rng.randint(3, 7)
         rows = [[rng.choice((0, 0, rng.randint(-5, 5))) for _ in range(n)] for _ in range(m)]
         rows[0][0] = -rng.randint(1, 3)
+        ref = _Reference(rows)
         den = 1
-        ref = [[F(v) for v in row] for row in rows]
-        used_rows, used_cols = set(), set()
         for _ in range(min(m, n)):
-            cands = [
-                (r, c)
-                for r in range(m) if r not in used_rows
-                for c in range(n) if c not in used_cols and rows[r][c] < 0
-            ]
+            cands = [(r, c) for r in range(m) for c in range(n) if rows[r][c] < 0]
             if not cands:
                 break
             r, c = rng.choice(cands)
-            used_rows.add(r)
-            used_cols.add(c)
-            pivot_row = list(rows[r])
-            den = _kernel.pivot_update(rows, r, c, den)
-            ref = _gauss_jordan(ref, r, c)
+            den = _pivot_both(rows, ref, r, c, den)
             negative += 1
-            assert den == -pivot_row[c] > 0
-            assert rows[r] == [-v for v in pivot_row]
-            assert [[F(v, den) for v in row] for row in rows] == ref
     assert negative > 80
-    # |pivot| == den: a row with a zero pivot-column entry is left as it is
+    # |pivot| == den: a row with a zero pivot-column entry is left as it is,
+    # and the negated pivot row's leaving column holds -den.
     rows = [[-2, 4, 6], [0, 2, -2], [2, 0, 2]]
     assert _kernel.pivot_update(rows, 0, 0, 2) == 2
-    assert rows == [[2, -4, -6], [0, 2, -2], [0, 4, 8]]
+    assert rows == [[-2, -4, -6], [0, 2, -2], [2, 4, 8]]
 
 
 def test_violated_indices_matches_direct_evaluation():

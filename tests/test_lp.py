@@ -22,6 +22,7 @@ from bblab.polytope import LinearConstraint, Polytope, eq_row, geq_row, leq_row
 from bblab.rationals import clear_denominators, dot, rat_vector
 
 from _oracles import (
+    _gauss_jordan,
     brute_in_hull_of_union,
     brute_lp,
     brute_rank,
@@ -230,6 +231,10 @@ def test_affine_rank_matches_fraction_brute_force():
 
 
 def test_eliminate_reaches_the_fraction_reduced_row_echelon_form():
+    # Every column not pivoted is the Fraction RREF's.  The pivot keeps the
+    # tableau condensed, so the k-th pivot column holds the column of the
+    # implicit unit it replaced: in the RREF of [rows | I], made with the
+    # same row swaps, the identity column of the row that ends in row k.
     rng = random.Random(69)
     for _ in range(120):
         m, width = rng.randint(1, 5), rng.randint(1, 6)
@@ -239,7 +244,15 @@ def test_eliminate_reaches_the_fraction_reduced_row_echelon_form():
         got = [list(r) for r in rows]
         rank, den = lp._eliminate(got, width)
         assert den > 0 and rank == want_rank
-        assert [[F(v, den) for v in r] for r in got] == want
+        aug = [[F(v) for v in r] + [F(int(i == t)) for t in range(m)]
+               for i, r in enumerate(rows)]
+        origin = list(range(m))
+        _gauss_jordan(aug, width, origin)
+        pivot_cols = {next(j for j in range(width) if want[k][j]): k for k in range(rank)}
+        for j in range(width):
+            ref = [r[width + origin[pivot_cols[j]]] for r in aug] if j in pivot_cols \
+                else [r[j] for r in want]
+            assert [F(r[j], den) for r in got] == ref
 
 
 def _random_mixed_polytope(rng):

@@ -5,7 +5,13 @@ from fractions import Fraction
 import pytest
 
 from bblab.checkers import enum_integer_points
-from bblab.errors import DimensionMismatch, IndexOutOfRange, InvalidPermutation, NonCanonicalMap
+from bblab.errors import (
+    DimensionMismatch,
+    IndexOutOfRange,
+    InvalidPermutation,
+    MalformedInput,
+    NonCanonicalMap,
+)
 from bblab.families import PackingSpec, gen_packing_family, gen_set_cover
 from bblab.maps import (
     AffineMap,
@@ -140,3 +146,38 @@ def test_map_json_roundtrip():
     assert [r.normalized() for r in apply_map_polytope(g, P).rows] == [
         r.normalized() for r in apply_map_polytope(f, P).rows
     ]
+
+
+def test_malformed_map_files_name_the_field():
+    good = json.loads(json.dumps(
+        compose(make_embed(EmbedSpec(2, 1, 0)), make_flip(FlipSpec(2, {0}))).to_json()))
+    flip = good["spec"]["inner"]
+    embed = good["spec"]["outer"]
+    dup = make_dup(DupSpec(2, (1,))).to_json()
+    cases = [
+        ({"C": [[1.7, 0], [0, 1]], "d": ["0", "1"]}, "C[0][0]"),
+        ({"C": [["1", "0"], ["0", "1"]], "d": ["0", True]}, "d[1]"),
+        ({"d": ["0"]}, "C"),
+        ({"C": [["1"]]}, "d"),
+        ({"C": 5, "d": []}, "C"),
+        ({"C": ["1"], "d": ["0"]}, "C[0]"),
+        ({"C": [["1/2"]], "d": ["0"]}, "C[0][0]"),
+        ([], "map"),
+        ({**flip, "kind": "rotate"}, "kind"),
+        ({**flip, "spec": None}, "spec"),
+        ({**flip, "spec": {**flip["spec"], "n": 2.0}}, "spec.n"),
+        ({**flip, "spec": {"J": [0]}}, "spec.n"),
+        ({**flip, "spec": {**flip["spec"], "J": ["0", False]}}, "spec.J[1]"),
+        ({**embed, "spec": {**embed["spec"], "zeros": "one"}}, "spec.zeros"),
+        ({**embed, "spec": {**embed["spec"], "positions": [0, 1, 2.5]}}, "spec.positions[2]"),
+        ({**dup, "spec": {**dup["spec"], "tuple": "1"}}, "spec.tuple"),
+        ({**good, "spec": {**good["spec"], "inner": {**flip, "d": [0, 0.5]}}},
+         "spec.inner.d[1]"),
+        ({**good, "spec": {"inner": flip}}, "spec.outer"),
+    ]
+    for obj, field in cases:
+        with pytest.raises(MalformedInput) as err:
+            AffineMap.from_json(obj)
+        assert str(err.value).startswith(f"{field}: "), (field, str(err.value))
+    assert AffineMap.from_json(good) == compose(make_embed(EmbedSpec(2, 1, 0)),
+                                                make_flip(FlipSpec(2, {0})))

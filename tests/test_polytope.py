@@ -6,9 +6,16 @@ from math import gcd
 import pytest
 
 from bblab.errors import DimensionMismatch, MalformedInput
-from bblab.families import CrossSpec, PerturbedSpec, gen_cross_polytope, gen_perturbed_cross
+from bblab.families import (
+    CrossSpec,
+    PerturbedSpec,
+    TspSpec,
+    gen_cross_polytope,
+    gen_perturbed_cross,
+    gen_tsp_subtour,
+)
 from bblab.polytope import LinearConstraint, Polytope, geq_row, leq_row
-from bblab.rationals import clear_denominators, dot, point_to_ints
+from bblab.rationals import clear_denominators, dot, point_to_ints, rat
 
 F = Fraction
 
@@ -107,6 +114,21 @@ def test_constraint_normalization_is_scaling_invariant():
     assert a.normalized() == b.normalized() == ((1, -2), "<=", 3)
     ge = LinearConstraint((F(-1), F(2)), ">=", F(-3))
     assert ge.normalized() == a.normalized()
+
+
+def test_small_integers_share_one_fraction():
+    for v in range(-4, 5):
+        assert rat(v) is rat(str(v)) is rat(f"{2 * v}/2") == F(v)
+    assert rat(5) == 5 and rat("7/7") is rat(1)
+    half = F(1, 2)
+    assert rat(half) is half and rat(F(1)) == 1
+    row = LinearConstraint((1, -1, 0), "<=", 1)
+    assert row.coeffs[0] is row.rhs and row.coeffs[2] is rat(0)
+    # the generators pass small integers as ints, so their rows share them
+    P = gen_tsp_subtour(TspSpec(5))
+    assert {id(v) for r in P.rows for v in (*r.coeffs, r.rhs)} == {id(rat(v)) for v in (0, 1, 2)}
+    with pytest.raises(TypeError):
+        rat(True)
 
 
 def test_equality_rows_split_into_two_leq_rows():

@@ -8,7 +8,7 @@ from bblab import _kernel, simplex
 from bblab.errors import InternalError
 from bblab.polytope import EQ, LE
 
-from _oracles import brute_lp
+from _oracles import brute_lp, full_tableau_solve
 
 
 def frac(rng, den=6, lo=-4, hi=4):
@@ -99,6 +99,56 @@ def test_equality_rows_and_degenerate_pivots():
     assert r.status == "optimal" and r.value == 1
 
 
+def random_mixed_instance(rng):
+    """<= and = rows with rhs of either sign or zero, some zero coefficients,
+    and at times a redundant equality: a multiple of an equality row or the
+    sum of two.  Zero right-hand sides leave artificials basic at zero, to
+    be driven out."""
+    nvars = rng.randint(1, 4)
+    rows, rels, rhs = [], [], []
+    for _ in range(rng.randint(0, 5)):
+        rows.append([rng.choice((0, frac(rng))) for _ in range(nvars)])
+        rels.append(rng.choice((LE, LE, EQ)))
+        rhs.append(rng.choice((0, frac(rng))))
+    eqs = [i for i, rel in enumerate(rels) if rel == EQ]
+    redundant = bool(eqs) and rng.random() < 0.4
+    if redundant:
+        i, j = rng.choice(eqs), rng.choice(eqs)
+        k = frac(rng, lo=1)
+        rows.append([k * a + (b if i != j else 0) for a, b in zip(rows[i], rows[j])])
+        rhs.append(k * rhs[i] + (rhs[j] if i != j else 0))
+        rels.append(EQ)
+    objective = [frac(rng) for _ in range(nvars)] if rng.random() < 0.8 else None
+    return nvars, rows, rels, rhs, objective, rng.random() < 0.5, redundant
+
+
+def test_condensed_tableau_matches_the_full_tableau(monkeypatch):
+    # The condensed tableau makes the full tableau's pivots: the same
+    # status, point, value, multipliers and number of pivots.
+    real = _kernel.pivot_update
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(_kernel, "pivot_update", counted)
+    rng = random.Random(20261018)
+    seen = set()
+    for _ in range(600):
+        nvars, rows, rels, rhs, objective, maximize, redundant = random_mixed_instance(rng)
+        calls.clear()
+        got = simplex.solve(nvars, rows, rels, rhs, objective=objective, maximize=maximize)
+        want = full_tableau_solve(nvars, rows, rels, rhs, objective, maximize)
+        assert (got.status, got.x, got.value, got.farkas, len(calls)) == want
+        seen.add(got.status)
+        seen.add((got.status, got.farkas is not None))
+        seen.add(("negative rhs", any(b < 0 for b in rhs)))
+        seen.add(("redundant", redundant))
+    assert seen >= {"optimal", "unbounded", ("infeasible", True), ("infeasible", False),
+                    ("negative rhs", True), ("redundant", True)}
+
+
 def _scaled(rows, rhs, factors):
     return ([[f * a for a in row] for row, f in zip(rows, factors)],
             [f * b for b, f in zip(rhs, factors)])
@@ -169,11 +219,12 @@ def test_corrupted_pivot_fails_the_integer_self_check(monkeypatch):
 
 
 def test_corrupted_pivot_fails_the_integer_farkas_check(monkeypatch):
-    # Columns are x, the two slacks, the artificial and the rhs; the last
-    # row is the phase-1 objective, whose slack entries are the multipliers.
-    def drop_first_multiplier(rows, r, den):
+    # The nonbasic columns are x and the second slack, then the rhs; the
+    # only pivot hands x's column to the first slack.  The last row is the
+    # phase-1 objective, whose slack entries are the multipliers.
+    def drop_second_multiplier(rows, r, den):
         rows[-1][1] = 0
 
-    _corrupting(monkeypatch, drop_first_multiplier)
+    _corrupting(monkeypatch, drop_second_multiplier)
     with pytest.raises(InternalError, match="Farkas"):
         simplex.solve(1, [[1], [-1]], [LE, LE], [0, -1])
