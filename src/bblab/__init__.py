@@ -27,7 +27,6 @@ from .checkers import (
     facet_check_cardinality,
     find_high_dim_face,
     find_shattered_set,
-    gen_half_points,
     gen_restricted_polytope,
     half_points_feasible,
 )
@@ -49,7 +48,6 @@ from .lp import (
     in_convex_hull_of_union,
     lp_feasible,
     lp_optimize,
-    separating_hyperplane,
     verify_farkas,
 )
 from .maps import (
@@ -59,7 +57,6 @@ from .maps import (
     FlipSpec,
     apply_map_polytope,
     compose,
-    identity_map,
     make_dup,
     make_embed,
     make_flip,

@@ -105,12 +105,6 @@ class BBTree:
             return 1
         return self.left.leaf_count + self.right.leaf_count
 
-    @property
-    def depth(self):
-        if self.is_leaf:
-            return 0
-        return 1 + max(self.left.depth, self.right.depth)
-
     def leaf_paths(self):
         """Root-to-leaf paths as strings of 'L'/'R', in left-to-right order."""
         if self.is_leaf:

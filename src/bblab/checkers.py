@@ -4,7 +4,6 @@ optimization restriction, face-in-halfspace construction, shattering, the
 entropy counting bound, and half-point feasibility.
 """
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -159,9 +158,6 @@ def gen_restricted_polytope(P: Polytope, c, delta) -> Polytope:
 class FaceSpec:
     fixed: dict  # coordinate -> 0 or 1
 
-    def dim_within(self, n):
-        return n - len(self.fixed)
-
     def as_polytope(self, n) -> Polytope:
         rows = tuple(
             LinearConstraint(
@@ -258,48 +254,6 @@ def entropy_bound_check(n, s) -> EntropyCheck:
         round((log2(lhs.numerator) - log2(lhs.denominator)) * 2 ** 20), 2 ** 20
     )
     return EntropyCheck(lhs > rhs, approx, rhs)
-
-
-def half_point_count(n, s):
-    return sum(comb(n, j) * 2 ** (n - j) for j in range(s, n + 1))
-
-
-def gen_half_points(n, s, budget, seed=0):
-    """Points of {0, 1/2, 1}^n with at least s half-valued coordinates.
-
-    Full enumeration when the family fits the budget, otherwise a seeded
-    uniform sample of ``budget`` distinct points.
-    """
-    if not 0 <= s <= n:
-        raise SpecViolation("need 0 <= s <= n")
-    total = half_point_count(n, s)
-    if total <= budget:
-        out = []
-        for j in range(s, n + 1):
-            for H in combinations(range(n), j):
-                Hs = set(H)
-                rest = [i for i in range(n) if i not in Hs]
-                for bits in range(2 ** len(rest)):
-                    point = [HALF] * n
-                    for t, i in enumerate(rest):
-                        point[i] = Fraction(bits >> t & 1)
-                    out.append(tuple(point))
-        return out
-    rng = random.Random(seed)
-    weights = [comb(n, j) * 2 ** (n - j) for j in range(s, n + 1)]
-    seen = set()
-    out = []
-    while len(out) < budget:
-        j = rng.choices(range(s, n + 1), weights=weights)[0]
-        H = rng.sample(range(n), j)
-        Hs = set(H)
-        point = tuple(
-            HALF if i in Hs else Fraction(rng.randint(0, 1)) for i in range(n)
-        )
-        if point not in seen:
-            seen.add(point)
-            out.append(point)
-    return out
 
 
 @dataclass

@@ -143,10 +143,14 @@ def cmd_check_tree(args):
             if not isinstance(rep_obj, dict):
                 raise MalformedInput("report: not a JSON object")
             with json_field("leaf_witnesses"):
-                witnesses = {
-                    int(i): parse_list(p, f"leaf_witnesses.{i}")
-                    for i, p in rep_obj.get("leaf_witnesses", {}).items()
-                }
+                claims = rep_obj.get("leaf_witnesses", {}).items()
+            for key, p in claims:
+                path = f"leaf_witnesses.{key}"
+                with json_field(path):
+                    i = integer(key)
+                    if not 0 <= i < tree.leaf_count:
+                        raise ValueError(f"no leaf {i} in a tree of {tree.leaf_count} leaves")
+                witnesses[i] = parse_list(p, path)
         rep = solves(tree, P, objective, witnesses)
         cert["verdict"] = rep.solved
         cert["objective"] = [rat_str(v) for v in objective]

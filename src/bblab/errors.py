@@ -43,14 +43,6 @@ class IllegalDisjunction(BBLabError):
     pass
 
 
-class NotSeparable(BBLabError):
-    """Raised when a requested separator does not exist; carries hull weights."""
-
-    def __init__(self, weights):
-        super().__init__("point lies in the convex hull")
-        self.weights = weights
-
-
 class EmptyList(BBLabError):
     pass
 

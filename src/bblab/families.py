@@ -228,13 +228,6 @@ def _noise_units(seed, sigma, denom, mask, i):
     return round(z * sigma * denom)
 
 
-def gaussian_noise(spec: PerturbedSpec, mask, i) -> Fraction:
-    """One N(0, sigma^2) draw for row I (bitmask) and column i, rounded to
-    the grid 1/denom.  Deterministic in (seed, I, i)."""
-    units = _noise_units(spec.seed, float(spec.sigma), spec.denom, mask, i)
-    return Fraction(units, spec.denom)
-
-
 def gen_perturbed_cross(spec: PerturbedSpec) -> Polytope:
     """The cross-polytope with iid N(0, 1/20^2) noise on each coefficient and
     right-hand side 1.6n/20; deterministic in the seed, coefficients rounded
@@ -303,16 +296,6 @@ def gen_tsp_subtour(spec: TspSpec) -> Polytope:
     return Polytope(
         m, tuple(rows), provenance={"family": "tsp-subtour", "cities": n}
     )
-
-
-def tour_point(n, order):
-    """Incidence vector of the Hamiltonian cycle visiting ``order``."""
-    edges = tsp_edges(n)
-    eidx = {e: t for t, e in enumerate(edges)}
-    x = [0] * len(edges)
-    for a, b in zip(order, order[1:] + order[:1]):
-        x[eidx[(min(a, b), max(a, b))]] = 1
-    return tuple(x)
 
 
 def oracle_from_json(obj):

@@ -18,11 +18,10 @@ from .errors import (
     DimensionMismatch,
     EmptyList,
     InternalError,
-    NotSeparable,
     TooLarge,
 )
 from .polytope import EQ, LE, Polytope
-from .rationals import clear_denominators, dot, point_to_ints, rat_vector
+from .rationals import clear_denominators, point_to_ints, rat_vector
 
 FEASIBLE, INFEASIBLE, OPTIMAL = "feasible", "infeasible", "optimal"
 
@@ -189,7 +188,6 @@ class HullResult:
     inside: bool
     weights: tuple | None = None
     witnesses: tuple | None = None
-    empty_union: bool = False
 
 
 def in_convex_hull_of_union(xstar, atoms) -> HullResult:
@@ -201,7 +199,7 @@ def in_convex_hull_of_union(xstar, atoms) -> HullResult:
     """
     xstar = rat_vector(xstar)
     if not atoms:
-        return HullResult(False, empty_union=True)
+        return HullResult(False)
     n = len(xstar)
     for A in atoms:
         if A.dim != n:
@@ -277,54 +275,6 @@ def convex_weights(xstar, points):
     if res.status == "infeasible":
         return None
     return res.x
-
-
-def separating_hyperplane(xstar, hull_points):
-    """A strict separator (pi, pi0) with pi.x* > pi0 >= pi.p for the points.
-
-    Verifies the precondition first: if x* is a convex combination of the
-    given points, raises NotSeparable carrying the weights; no points at all
-    raise EmptyList.  The returned
-    separator is scaled so max |pi_i| = 1.
-    """
-    if not hull_points:
-        raise EmptyList("separating_hyperplane from an empty point set")
-    xstar = rat_vector(xstar)
-    hull_points = [rat_vector(p) for p in hull_points]
-    n = len(xstar)
-    for p in hull_points:
-        if len(p) != n:
-            raise DimensionMismatch("hull point dimension mismatch")
-    weights = convex_weights(xstar, hull_points)
-    if weights is not None:
-        raise NotSeparable(weights)
-
-    # Variables: pi = p - q, pi0 = r - s, all parts nonnegative; maximize the
-    # violation pi.x* - pi0 under pi.h <= pi0 and an l1 cap on pi.
-    nv = 2 * n + 2
-    rows, rels, rhs = [], [], []
-    for h in hull_points:
-        row = list(h) + [-v for v in h] + [Fraction(-1), Fraction(1)]
-        rows.append(row)
-        rels.append(LE)
-        rhs.append(Fraction(0))
-    rows.append([Fraction(1)] * (2 * n) + [Fraction(0), Fraction(0)])
-    rels.append(LE)
-    rhs.append(Fraction(1))
-    obj = list(xstar) + [-v for v in xstar] + [Fraction(-1), Fraction(1)]
-    res = simplex.solve(nv, rows, rels, rhs, objective=obj, maximize=True)
-    if res.status != "optimal" or res.value <= 0:
-        raise InternalError("separator LP failed on a separable instance")
-    pi = tuple(res.x[j] - res.x[n + j] for j in range(n))
-    pi0 = res.x[2 * n] - res.x[2 * n + 1]
-    scale = max(abs(v) for v in pi)
-    if scale == 0:
-        raise InternalError("separator with zero normal")
-    pi = tuple(v / scale for v in pi)
-    pi0 = pi0 / scale
-    if dot(pi, xstar) <= pi0 or any(dot(pi, h) > pi0 for h in hull_points):
-        raise InternalError("separator postcondition failed")
-    return pi, pi0
 
 
 def affine_rank(points) -> int:

@@ -32,8 +32,8 @@ class AffineMap:
     spec: object = None
 
     def __post_init__(self):
-        C = tuple(tuple(int(v) for v in row) for row in self.C)
-        d = tuple(int(v) for v in self.d)
+        C = tuple(tuple(integer(v) for v in row) for row in self.C)
+        d = tuple(integer(v) for v in self.d)
         if len(C) != len(d):
             raise DimensionMismatch("C rows and d length differ")
         widths = {len(row) for row in C}
@@ -129,7 +129,7 @@ class EmbedSpec:
         if pos is None:
             pos = tuple(range(total))
         else:
-            pos = tuple(int(p) for p in pos)
+            pos = tuple(integer(p) for p in pos)
         if sorted(pos) != list(range(total)):
             raise InvalidPermutation("positions is not a permutation")
         object.__setattr__(self, "positions", pos)
@@ -143,14 +143,10 @@ class DupSpec:
     indices: tuple
 
     def __post_init__(self):
-        idx = tuple(int(j) for j in self.indices)
+        idx = tuple(integer(j) for j in self.indices)
         if any(j < 0 or j >= self.n for j in idx):
             raise IndexOutOfRange("duplicated coordinate outside [n]")
         object.__setattr__(self, "indices", idx)
-
-
-def identity_map(n):
-    return make_flip(FlipSpec(n, frozenset()))
 
 
 def make_flip(spec: FlipSpec) -> AffineMap:

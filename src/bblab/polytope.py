@@ -7,7 +7,6 @@ from functools import cached_property
 from .errors import DimensionMismatch, MalformedInput, TooLargeForExplicit, json_field
 from .rationals import (
     clear_denominators,
-    dot,
     integer,
     parse_list,
     point_to_ints,
@@ -37,14 +36,6 @@ class LinearConstraint:
     @property
     def dim(self):
         return len(self.coeffs)
-
-    def lhs_at(self, point) -> Fraction:
-        return dot(self.coeffs, point)
-
-    def satisfied_by(self, point) -> bool:
-        if len(point) != self.dim:
-            raise ValueError("point/row length mismatch")
-        return self.holds_at(*point_to_ints(point))
 
     def holds_at(self, nums, den) -> bool:
         """Does the row hold at the point nums/den (ints, den > 0)?"""
@@ -110,18 +101,6 @@ class LinearConstraint:
             rhs = rat(obj["rhs"])
         with json_field(f"{path}.rel"):
             return cls(coeffs, obj["rel"], rhs)
-
-
-def leq_row(coeffs, rhs):
-    return LinearConstraint(coeffs, LE, rhs)
-
-
-def geq_row(coeffs, rhs):
-    return LinearConstraint(coeffs, GE, rhs)
-
-
-def eq_row(coeffs, rhs):
-    return LinearConstraint(coeffs, EQ, rhs)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ enumerating candidate basic points from row subsets and taking exact
 maxima, which is the stated reference semantics for small dimensions.
 The 0/1 and half-point oracles evaluate each row's ``as_leq()`` pairs with
 ``Fraction`` dot products, never the integer row forms (``int_leq``,
-``satisfied_by``, ``contains``) that the checkers run on.  The Farkas
+``holds_at``, ``contains``) that the checkers run on.  The Farkas
 oracle re-checks a certificate in ``Fraction`` arithmetic, as
 ``lp.verify_farkas`` did before it moved to integers.  Vertices and ranks
 come from a textbook ``Fraction`` Gauss-Jordan elimination, not from the

@@ -31,13 +31,14 @@ from bblab.maps import (
     FlipSpec,
     apply_map_polytope,
     compose,
-    identity_map,
     make_dup,
     make_embed,
     make_flip,
 )
-from bblab.polytope import LinearConstraint, Polytope, geq_row, leq_row
+from bblab.polytope import GE, LE, LinearConstraint, Polytope
 from bblab.search import MostFractional, run_bb
+
+from _oracles import brute_integer_points
 
 F = Fraction
 
@@ -61,7 +62,7 @@ def test_disjunction_legality_and_rows():
 
 def test_tree_shape_accounting():
     t = full_variable_tree(3)
-    assert t.size == 15 and t.leaf_count == 8 and t.depth == 3
+    assert t.size == 15 and t.leaf_count == 8
     assert t.size == 2 * t.leaf_count - 1
     assert t.leaf_paths()[0] == "LLL" and t.leaf_paths()[-1] == "RRR"
     with pytest.raises(ValueError):
@@ -90,8 +91,8 @@ def test_atoms_of_examples():
     assert atoms_of(leaf(), P) == [Atom(P, (), "")]
     two = atoms_of(node(Disjunction((1, 0), 0), leaf(), leaf()), P)
     assert [a.branching for a in two] == [
-        (leq_row((1, 0), 0),),
-        (geq_row((1, 0), 1),),
+        (LinearConstraint((1, 0), LE, 0),),
+        (LinearConstraint((1, 0), GE, 1),),
     ]
     P2 = gen_cross_polytope(CrossSpec(2))
     four = atoms_of(full_variable_tree(2), P2)
@@ -112,7 +113,7 @@ def test_proves_infeasibility_examples():
     assert not rep.proved and rep.witness_leaf == 0
     assert P2.contains(rep.witness_point)
 
-    empty = Polytope(1, (leq_row((1,), 0), geq_row((1,), 1)))
+    empty = Polytope(1, (LinearConstraint((1,), LE, 0), LinearConstraint((1,), GE, 1)))
     rep = proves_infeasibility(node(Disjunction((1,), 0), leaf(), leaf()), empty)
     assert rep.proved
 
@@ -125,7 +126,7 @@ def test_solves_examples():
         st.status == "integral" for st in rep.leaves
     )
 
-    half = Polytope(1, (leq_row((1,), F(1, 2)),))
+    half = Polytope(1, (LinearConstraint((1,), LE, F(1, 2)),))
     rep = solves(leaf(), half, [1])
     assert not rep.solved and rep.open_leaf == 0
 
@@ -138,7 +139,7 @@ def test_solves_examples():
 def test_solves_finds_integral_optimum_on_degenerate_face():
     # the optimal face {x1 = 1, 0 <= x2 <= 1/2} has a fractional vertex; the
     # checker must still certify the leaf via the integral optimum (1, 0)
-    P = Polytope(2, (leq_row((0, 2), 1),))
+    P = Polytope(2, (LinearConstraint((0, 2), LE, 1),))
     rep = solves(leaf(), P, [1, 0])
     assert rep.solved
     assert rep.leaves[0].status == "integral"
@@ -150,7 +151,7 @@ def test_solves_beyond_the_enumeration_cap_defers_to_the_incumbent_bound():
     # left leaf (x0 <= 0) has the fractional optimum x1 = 1/2, which
     # enumeration cannot check; the right leaf (x0 >= 1) is integral.
     n = 25
-    P = Polytope(n, (leq_row((1, 2) + (0,) * (n - 2), 1),))
+    P = Polytope(n, (LinearConstraint((1, 2) + (0,) * (n - 2), LE, 1),))
     t = node(Disjunction((1,) + (0,) * (n - 1), 0), leaf(), leaf())
     c = (1, 1) + (0,) * (n - 2)  # left: 1/2, right: 1 at (1, 0, ...)
     rep = solves(t, P, c)
@@ -240,7 +241,7 @@ def test_transform_tree_examples():
     out = transform_tree(t, flip2)
     assert out.disjunction == Disjunction((-1, 0), -1)
 
-    assert transform_tree(t, identity_map(2)) == t
+    assert transform_tree(t, make_flip(FlipSpec(2, frozenset()))) == t
 
     dup = make_dup(DupSpec(2, (0,)))
     t = node(Disjunction((1, 0, 1), 1), leaf(), leaf())
@@ -261,7 +262,7 @@ def test_transform_tree_degenerate_normal_keeps_size_and_containment():
     out = transform_tree(live_right, f)
     assert out.disjunction == Disjunction((1,), -1)
 
-    P = Polytope(1, (leq_row((1,), F(2, 3)),))
+    P = Polytope(1, (LinearConstraint((1,), LE, F(2, 3)),))
     Q = apply_map_polytope(f, P)
     for tree_hat in (live_left, live_right):
         tree = transform_tree(tree_hat, f)
@@ -326,6 +327,21 @@ def test_transform_tree_keeps_size_and_leafwise_containment(P, f, data):
             assert target.contains(f.apply(vx))
 
 
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(P=_polytope_3d, tree=_trees(3, 3), in_cross=st.booleans())
+def test_an_infeasibility_proof_leaves_no_integer_point(P, tree, in_cross):
+    # P_3 has no 0/1 point but is not empty, so its cuts by random rows give
+    # integer-empty polytopes that only a real proof shows empty.
+    if in_cross:
+        P = gen_cross_polytope(CrossSpec(3)).with_rows(P.rows)
+    no_integer_point = brute_integer_points(P) == []
+    if proves_infeasibility(tree, P).proved:
+        assert no_integer_point
+    # each leaf of the variable tree holds one 0/1 point at most, so it is a
+    # proof exactly when P has none
+    assert proves_infeasibility(full_variable_tree(3), P).proved == no_integer_point
+
+
 def _random_tree(rng, dim, depth):
     if depth == 0 or rng.random() < 0.4:
         return leaf()
@@ -343,12 +359,14 @@ def test_monotonicity_of_leaves():
     for _ in range(15):
         n = rng.randint(1, 3)
         base_rows = tuple(
-            leq_row(tuple(F(rng.randint(-2, 2)) for _ in range(n)), F(rng.randint(1, 4), 2))
+            LinearConstraint(tuple(F(rng.randint(-2, 2)) for _ in range(n)), LE,
+                             F(rng.randint(1, 4), 2))
             for _ in range(rng.randint(0, 2))
         )
         P = Polytope(n, base_rows)
         extra = tuple(
-            leq_row(tuple(F(rng.randint(-2, 2)) for _ in range(n)), F(rng.randint(0, 3), 2))
+            LinearConstraint(tuple(F(rng.randint(-2, 2)) for _ in range(n)), LE,
+                             F(rng.randint(0, 3), 2))
             for _ in range(rng.randint(1, 2))
         )
         Q = P.with_rows(extra)
@@ -364,7 +382,7 @@ def test_monotonicity_of_leaves():
 def test_simulation_lemma_small():
     rng = random.Random(321)
     for _ in range(10):
-        P = Polytope(2, (leq_row((F(1), F(1)), F(3, 2)),))
+        P = Polytope(2, (LinearConstraint((F(1), F(1)), LE, F(3, 2)),))
         f = compose(make_embed(EmbedSpec(2, 1, 0)), make_flip(FlipSpec(2, {rng.randint(0, 1)})))
         Q = apply_map_polytope(f, P)
         tree_hat = _random_tree(rng, 3, 3)

@@ -11,14 +11,14 @@ from bblab.checkers import (
     facet_check_cardinality,
     find_high_dim_face,
     find_shattered_set,
-    gen_half_points,
     gen_restricted_polytope,
-    half_point_count,
     half_points_feasible,
 )
 from bblab.errors import (
     DimensionTooLarge,
+    InequalityInvalidForHull,
     InequalityValidForP,
+    PIsEmpty,
     PIsFeasible,
     PreconditionViolated,
     SpecViolation,
@@ -32,7 +32,7 @@ from bblab.families import (
     gen_perturbed_cross,
 )
 from bblab.lp import convex_weights, lp_optimize
-from bblab.polytope import LinearConstraint, Polytope, leq_row
+from bblab.polytope import GE, LE, LinearConstraint, Polytope
 from bblab.rationals import dot, rat_vector
 
 from _oracles import brute_half_points_feasible, brute_integer_points
@@ -94,6 +94,9 @@ def test_criticality_bound_error_paths():
     P = gen_packing_family(PackingSpec(4, 2))
     with pytest.raises(PIsFeasible):
         criticality_bound(P, [0])
+    empty = Polytope(1, (LinearConstraint((1,), LE, 0), LinearConstraint((1,), GE, 1)))
+    with pytest.raises(PIsEmpty):
+        criticality_bound(empty, [0])
     Q = gen_packing_family(PackingSpec(4, 2, with_cover=True))
     res = criticality_bound(Q, [0])  # D smaller than critical set still verifies rows
     assert res.verified and res.bound == F(2 * 1, 4) - 1
@@ -110,6 +113,9 @@ def test_gen_restricted_polytope_packing42():
 def test_gen_restricted_polytope_errors_and_63_case():
     with pytest.raises(InequalityValidForP):
         gen_restricted_polytope(Polytope(1), [1], 1)
+    # 1.x <= 0 cuts off the integer point (1, 0, 0, 0) of P_PA(4,2)
+    with pytest.raises(InequalityInvalidForHull, match=r"\(1, 0, 0, 0\)"):
+        gen_restricted_polytope(gen_packing_family(PackingSpec(4, 2)), (1, 1, 1, 1), 0)
     # For P_PA(6,3) the LP maximum of 1.x is 4 (uniform (k-1)/k point), so
     # eps0 = 2 and the restriction is 1.x >= 4, not the k-cover row.
     P = gen_packing_family(PackingSpec(6, 3))
@@ -143,7 +149,7 @@ def test_find_high_dim_face_random_verification():
         margin = dot(pi, [HALF] * n)
         pi0 = margin - F(rng.randint(1, 4), 4)
         face = find_high_dim_face(pi, pi0, n)
-        assert face.dim_within(n) >= n // 2
+        assert n - len(face.fixed) >= n // 2
         assert lp_optimize(face.as_polytope(n), pi, "min").value > pi0
 
 
@@ -182,36 +188,19 @@ def test_entropy_bound_check_examples():
         entropy_bound_check(4, 4)
 
 
-def test_gen_half_points_enumeration():
-    pts = gen_half_points(5, 2, 10_000)
-    assert len(pts) == 131 == half_point_count(5, 2)
-    assert gen_half_points(1, 1, 10) == [(HALF,)]
-    assert set(gen_half_points(1, 0, 10)) == {(F(0),), (F(1),), (HALF,)}
-
-
-def test_gen_half_points_sampling_is_deterministic_and_in_family():
-    a = gen_half_points(10, 4, 50, seed=3)
-    b = gen_half_points(10, 4, 50, seed=3)
-    assert a == b and len(a) == 50
-    for p in a:
-        assert sum(1 for v in p if v == HALF) >= 4
-        assert all(v in (0, HALF, 1) for v in p)
-
-
 def test_half_points_feasible_agrees_with_enumeration():
     rng = random.Random(62)
     for _ in range(20):
         n = 4
         rows = tuple(
-            leq_row(tuple(F(rng.randint(-3, 3), 2) for _ in range(n)),
-                    F(rng.randint(0, 6), 2))
+            LinearConstraint(tuple(F(rng.randint(-3, 3), 2) for _ in range(n)), LE,
+                             F(rng.randint(0, 6), 2))
             for _ in range(rng.randint(1, 3))
         )
         P = Polytope(n, rows)
         for s in (1, 2, 3):
             res = half_points_feasible(P, s)
-            brute = all(P.contains(p) for p in gen_half_points(n, s, 10 ** 6))
-            assert res.holds == brute
+            assert res.holds == (brute_half_points_feasible(P, s) is None)
             if not res.holds:
                 assert sum(1 for v in res.witness if v == HALF) >= s
                 assert not P.contains(res.witness)

@@ -306,10 +306,17 @@ def test_malformed_report_and_experiment_config_exit_2_naming_the_field(tmp_path
     assert run_cli("run", "--polytope", str(p), "--objective", "ones",
                    "--out", str(rep), "--tree-out", str(t)) == 0
     report = json.loads(rep.read_text())
+    witness = next(iter(report["leaf_witnesses"].values()))
     report["leaf_witnesses"] = 5
     rep.write_text(json.dumps(report))
     string_point = tmp_path / "rep2.json"  # a string is not read as a list of digits
     string_point.write_text(json.dumps({**report, "leaf_witnesses": {"0": "01"}}))
+    # a leaf index is an integer in 0..leaf_count-1
+    leaf_count = BBTree.from_json(json.loads(t.read_text())).leaf_count
+    stray_keys = {}
+    for key in ("1_0", "-1", str(leaf_count), "99"):
+        stray_keys[key] = tmp_path / f"rep-{len(stray_keys)}.json"
+        stray_keys[key].write_text(json.dumps({**report, "leaf_witnesses": {key: witness}}))
     cfg = tmp_path / "cfg.json"
     # an --objective @file is read like a report or config field
     not_a_list, not_rationals = tmp_path / "five.json", tmp_path / "floats.json"
@@ -326,6 +333,8 @@ def test_malformed_report_and_experiment_config_exit_2_naming_the_field(tmp_path
         (check + ["--objective", "ones", "--report", str(rep)], "leaf_witnesses", None),
         (check + ["--objective", "ones", "--report", str(string_point)],
          "leaf_witnesses.0", None),
+        *((check + ["--objective", "ones", "--report", str(path)],
+           f"leaf_witnesses.{key}", None) for key, path in stray_keys.items()),
         (experiment, "n", {**base, "n": "x"}),
         (experiment, "strategies[0]", {**base, "strategies": [5]}),
         (experiment, "budget", {**base, "budget": 5}),

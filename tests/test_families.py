@@ -20,12 +20,12 @@ from bblab.families import (
     gen_perturbed_cross,
     gen_set_cover,
     gen_tsp_subtour,
-    gaussian_noise,
-    tour_point,
     tsp_edges,
+    _noise_units,
 )
 from bblab.lp import lp_optimize
 from bblab.polytope import Polytope
+from bblab.rationals import dot, point_to_ints
 
 F = Fraction
 HALF = F(1, 2)
@@ -70,7 +70,7 @@ def test_cross_oracle_returns_minimum_row_exhaustively():
         got = oracle.find_violated(x)
         assert (got is not None) == (chosen < HALF)
         if got is not None:
-            assert not got.satisfied_by(x)
+            assert not got.holds_at(*point_to_ints(x))
 
 
 def test_cross_explicit_size_guard():
@@ -93,7 +93,7 @@ def test_packing_oracle_most_violated():
     P = gen_packing_family(spec)
     x = (F(1), F(3, 4), F(1, 4), 0, 0, 0)
     row = P.oracle.find_violated(x)
-    assert row is not None and row.lhs_at(x) == F(7, 4)
+    assert row is not None and dot(row.coeffs, x) == F(7, 4)
     assert [c for c in row.coeffs] == [1, 1, 0, 0, 0, 0]
     assert P.oracle.find_violated((F(1, 4),) * 6) is None
 
@@ -158,7 +158,8 @@ def test_perturbed_coefficients_are_one_plus_gaussian_noise():
         for mask, row in enumerate(P.rows):
             for i, coeff in enumerate(row.coeffs):
                 sign = 1 if mask >> i & 1 else -1
-                assert coeff == sign * (1 + gaussian_noise(spec, mask, i))
+                units = _noise_units(spec.seed, float(spec.sigma), spec.denom, mask, i)
+                assert coeff == sign * (1 + F(units, spec.denom))
 
 
 def test_perturbed_coefficients_near_unperturbed_values():
@@ -170,6 +171,15 @@ def test_perturbed_coefficients_near_unperturbed_values():
             assert abs(coeff - sign) < F(1, 2)  # noise sd is 1/20
 
 
+def _tour_point(n, order):
+    """Incidence vector of the Hamiltonian cycle visiting ``order``."""
+    eidx = {e: t for t, e in enumerate(tsp_edges(n))}
+    x = [0] * len(eidx)
+    for a, b in zip(order, order[1:] + order[:1]):
+        x[eidx[(min(a, b), max(a, b))]] = 1
+    return tuple(x)
+
+
 def test_tsp_generator_examples():
     T = gen_tsp_subtour(TspSpec(4))
     assert T.dim == 6
@@ -178,7 +188,7 @@ def test_tsp_generator_examples():
     assert len(eqs) == 4 and len(subtours) == 3
 
     T5 = gen_tsp_subtour(TspSpec(5))
-    assert T5.contains(tour_point(5, [0, 2, 4, 1, 3]))
+    assert T5.contains(_tour_point(5, [0, 2, 4, 1, 3]))
 
     T6 = gen_tsp_subtour(TspSpec(6))
     x = [F(0)] * T6.dim
@@ -193,7 +203,7 @@ def test_tsp_generator_examples():
         if r.rel == ">=" and {i for i, c in enumerate(r.coeffs) if c != 0}
         == {eidx[e] for e in eidx if (e[0] in (0, 1, 2)) != (e[1] in (0, 1, 2))}
     )
-    assert w_row.lhs_at(x) == 0
+    assert dot(w_row.coeffs, x) == 0
 
 
 def test_tsp_subtour_row_count_is_symmetry_deduplicated():

@@ -6,20 +6,18 @@ import pytest
 
 from bblab import lp, simplex
 from bblab.bbtree import Disjunction, full_variable_tree, proves_infeasibility
-from bblab.errors import EmptyList, InternalError, NotSeparable
+from bblab.errors import EmptyList, InternalError
 from bblab.families import CrossSpec, PackingSpec, gen_cross_polytope, gen_packing_family
 from bblab.lp import (
     affine_rank,
-    convex_weights,
     enum_vertices,
     in_convex_hull_of_union,
     lp_feasible,
     lp_optimize,
-    separating_hyperplane,
     verify_farkas,
 )
-from bblab.polytope import LinearConstraint, Polytope, eq_row, geq_row, leq_row
-from bblab.rationals import clear_denominators, dot, rat_vector
+from bblab.polytope import EQ, GE, LE, LinearConstraint, Polytope
+from bblab.rationals import clear_denominators, dot
 
 from _oracles import (
     _gauss_jordan,
@@ -40,7 +38,7 @@ def box(n):
 
 
 def test_lp_feasible_contradictory_bounds():
-    P = Polytope(1, (leq_row((1,), 0), geq_row((1,), 1)))
+    P = Polytope(1, (LinearConstraint((1,), LE, 0), LinearConstraint((1,), GE, 1)))
     out = lp_feasible(P)
     assert out.status == "infeasible"
     mults = dict(out.farkas)
@@ -110,14 +108,14 @@ def test_lp_optimize_matches_vertex_maximum_on_random_polytopes():
 
 
 def test_hull_membership_examples():
-    a0 = Polytope(1, (eq_row((1,), 0),))
-    a1 = Polytope(1, (eq_row((1,), 1),))
+    a0 = Polytope(1, (LinearConstraint((1,), EQ, 0),))
+    a1 = Polytope(1, (LinearConstraint((1,), EQ, 1),))
     res = in_convex_hull_of_union([F(1, 2)], [a0, a1])
     assert res.inside and res.weights == (F(1, 2), F(1, 2))
     res = in_convex_hull_of_union([F(1, 2)], [a0])
     assert not res.inside
     res = in_convex_hull_of_union([F(1, 2)], [])
-    assert not res.inside and res.empty_union
+    assert res == lp.HullResult(False)
 
 
 def test_hull_membership_union_of_empty_atoms_is_outside():
@@ -151,40 +149,6 @@ def test_hull_membership_agrees_with_vertex_pool_brute_force():
         assert got == want
         agree += 1
     assert agree == 20
-
-
-def test_separating_hyperplane_examples():
-    pi, pi0 = separating_hyperplane((F(3, 5), F(3, 5)), [(0, 0), (1, 0), (0, 1)])
-    assert max(abs(v) for v in pi) == 1
-    assert dot(pi, (F(3, 5), F(3, 5))) > pi0
-    for h in [(0, 0), (1, 0), (0, 1)]:
-        assert dot(pi, rat_vector(h)) <= pi0
-
-    with pytest.raises(NotSeparable) as err:
-        separating_hyperplane((F(1, 2), F(1, 2)), [(1, 0), (0, 1)])
-    assert tuple(err.value.weights) == (F(1, 2), F(1, 2))
-
-    pi, pi0 = separating_hyperplane((F(2),), [(0,), (1,)])
-    assert (pi, pi0) == ((1,), 1)
-
-    # with no hull rows the separator LP is unbounded; the input is refused
-    with pytest.raises(EmptyList):
-        separating_hyperplane((F(1, 2),), [])
-
-
-def test_separating_hyperplane_random_strictness():
-    rng = random.Random(5)
-    for _ in range(20):
-        n = rng.randint(1, 3)
-        pts = [tuple(F(rng.randint(0, 2)) for _ in range(n)) for _ in range(rng.randint(1, 5))]
-        x = tuple(F(rng.randint(-2, 6), 2) for _ in range(n))
-        if convex_weights(x, pts) is not None:
-            with pytest.raises(NotSeparable):
-                separating_hyperplane(x, pts)
-        else:
-            pi, pi0 = separating_hyperplane(x, pts)
-            assert dot(pi, x) > pi0
-            assert all(dot(pi, p) <= pi0 for p in pts)
 
 
 def test_affine_rank():
@@ -520,7 +484,7 @@ def test_integer_farkas_recheck_agrees_with_the_fraction_recheck():
 def test_verify_farkas_rejects_a_negative_multiplier_and_a_zero_rhs():
     # x <= 0 and x <= 2: -1 * (x <= 2) + (x <= 0) is 0 <= -2, but a
     # multiplier may not be negative.
-    P = Polytope(1, (leq_row((1,), 0), leq_row((1,), 2)))
+    P = Polytope(1, (LinearConstraint((1,), LE, 0), LinearConstraint((1,), LE, 2)))
     cert = ((("row", 0), F(1)), (("row", 1), F(-1)))
     # x <= 0 plus -x <= 0 is 0 <= 0, which proves nothing.
     zero_rhs = ((("row", 0), F(1)), (("box_lo", 0), F(1)))

@@ -20,12 +20,11 @@ from bblab.maps import (
     FlipSpec,
     apply_map_polytope,
     compose,
-    identity_map,
     make_dup,
     make_embed,
     make_flip,
 )
-from bblab.polytope import Polytope, leq_row
+from bblab.polytope import LE, LinearConstraint, Polytope
 
 F = Fraction
 
@@ -58,7 +57,7 @@ def test_make_dup_examples():
 
 def test_compose_examples():
     f = make_flip(FlipSpec(2, {0}))
-    assert compose(identity_map(2), f).C == f.C
+    assert compose(make_flip(FlipSpec(2, frozenset())), f).C == f.C
     double = compose(make_flip(FlipSpec(3, {0, 1, 2})), make_flip(FlipSpec(3, {0, 1, 2})))
     assert double.apply((F(1, 7), F(2, 7), F(3, 7))) == (F(1, 7), F(2, 7), F(3, 7))
     g = compose(make_embed(EmbedSpec(1, 1, 0)), make_flip(FlipSpec(1, {0})))
@@ -75,12 +74,22 @@ def test_apply_map_polytope_flip_gives_set_cover():
 
 
 def test_apply_map_polytope_identity_and_dup():
-    P = Polytope(1, (leq_row((1,), F(1, 2)),))
-    assert apply_map_polytope(identity_map(1), P).rows == P.rows
+    P = Polytope(1, (LinearConstraint((1,), LE, F(1, 2)),))
+    assert apply_map_polytope(make_flip(FlipSpec(1, frozenset())), P).rows == P.rows
     image = apply_map_polytope(make_dup(DupSpec(1, (0,))), Polytope(1))
     assert image.dim == 2
     assert image.contains((F(1, 3), F(1, 3)))
     assert not image.contains((F(1, 3), F(2, 3)))
+
+
+def test_in_memory_maps_refuse_non_integer_entries():
+    # non-integers are refused, not truncated to C=((1, 0),), d=(1,);
+    # indices=(0,); positions=(1, 0)
+    for build in (lambda: AffineMap(((F(3, 2), 0.9),), (True,)),
+                  lambda: DupSpec(2, (0.7,)),
+                  lambda: EmbedSpec(1, 0, 1, (1.2, 0))):
+        with pytest.raises(TypeError, match="not an integer"):
+            build()
 
 
 def test_apply_map_polytope_rejects_raw_maps():
@@ -109,7 +118,8 @@ def test_membership_transfers_through_images():
     for _ in range(25):
         n = rng.randint(1, 3)
         rows = tuple(
-            leq_row(tuple(F(rng.randint(-2, 2)) for _ in range(n)), F(rng.randint(0, 3), 2))
+            LinearConstraint(tuple(F(rng.randint(-2, 2)) for _ in range(n)), LE,
+                             F(rng.randint(0, 3), 2))
             for _ in range(rng.randint(1, 3))
         )
         P = Polytope(n, rows)
@@ -126,7 +136,8 @@ def test_images_preserve_integer_point_count():
     for _ in range(10):
         n = rng.randint(1, 3)
         rows = tuple(
-            leq_row(tuple(F(rng.randint(-1, 2)) for _ in range(n)), F(rng.randint(0, 2)))
+            LinearConstraint(tuple(F(rng.randint(-1, 2)) for _ in range(n)), LE,
+                             F(rng.randint(0, 2)))
             for _ in range(rng.randint(0, 2))
         )
         P = Polytope(n, rows)
@@ -142,7 +153,7 @@ def test_map_json_roundtrip():
     f = compose(make_dup(DupSpec(2, (1,))), make_flip(FlipSpec(2, {0})))
     g = AffineMap.from_json(json.loads(json.dumps(f.to_json())))
     assert g.C == f.C and g.d == f.d and g.kind == "compose"
-    P = Polytope(2, (leq_row((1, 1), F(3, 2)),))
+    P = Polytope(2, (LinearConstraint((1, 1), LE, F(3, 2)),))
     assert [r.normalized() for r in apply_map_polytope(g, P).rows] == [
         r.normalized() for r in apply_map_polytope(f, P).rows
     ]

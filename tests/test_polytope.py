@@ -14,7 +14,7 @@ from bblab.families import (
     gen_perturbed_cross,
     gen_tsp_subtour,
 )
-from bblab.polytope import LinearConstraint, Polytope, geq_row, leq_row
+from bblab.polytope import GE, LE, LinearConstraint, Polytope
 from bblab.rationals import clear_denominators, dot, point_to_ints, rat
 
 F = Fraction
@@ -103,7 +103,7 @@ def test_satisfied_by_matches_fraction_dot_product():
             point = tuple(_random_entry(rng) for _ in range(row.dim))
             lhs = dot(row.coeffs, [F(v) for v in point])
             want = {"<=": lhs <= row.rhs, ">=": lhs >= row.rhs, "=": lhs == row.rhs}[row.rel]
-            assert row.satisfied_by(point) == want
+            assert row.holds_at(*point_to_ints(point)) == want
             seen.add(want)
     assert seen == {True, False}
 
@@ -137,7 +137,7 @@ def test_equality_rows_split_into_two_leq_rows():
 
 
 def test_polytope_json_roundtrip_explicit():
-    P = Polytope(2, (leq_row((F(1, 2), 1), F(3, 2)), geq_row((1, 0), 0)),
+    P = Polytope(2, (LinearConstraint((F(1, 2), 1), LE, F(3, 2)), LinearConstraint((1, 0), GE, 0)),
                  provenance={"family": "demo"})
     obj = json.loads(json.dumps(P.to_json()))
     Q = Polytope.from_json(obj)
@@ -155,7 +155,7 @@ def test_polytope_json_roundtrip_oracle():
 
 
 def test_polytope_files_lie_in_the_box():
-    obj = Polytope(1, (leq_row((1,), F(1, 2)),)).to_json()
+    obj = Polytope(1, (LinearConstraint((1,), LE, F(1, 2)),)).to_json()
     assert obj["box"] is True
     del obj["box"]
     assert Polytope.from_json(obj).to_json()["box"] is True
@@ -168,7 +168,7 @@ def test_row_for_ref_resolves_oracle_rows_of_the_family_only():
     P = gen_cross_polytope(CrossSpec(3, "oracle"))
     row = P.oracle.find_violated((0, 0, 0))
     assert P.row_for_ref(("oracle", row)) == row.as_leq()[0]
-    for Q, cited in ((P, leq_row((1, 1, 1), 1)), (Polytope(3), row)):
+    for Q, cited in ((P, LinearConstraint((1, 1, 1), LE, 1)), (Polytope(3), row)):
         with pytest.raises(ValueError, match="cites a row outside the oracle family"):
             Q.row_for_ref(("oracle", cited))
 
@@ -193,6 +193,6 @@ def test_materialized_expands_oracle_rows_once():
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(DimensionMismatch):
-        Polytope(2, (leq_row((1,), 0),))
+        Polytope(2, (LinearConstraint((1,), LE, 0),))
     with pytest.raises(DimensionMismatch):
         Polytope(1).contains((1, 2))

@@ -7,7 +7,7 @@ from bblab.bbtree import Disjunction, atoms_of, proves_infeasibility
 from bblab.errors import PNotInfeasible, PointInHull, StrategyStuck, TooLarge
 from bblab.families import CrossSpec, PackingSpec, gen_cross_polytope, gen_packing_family
 from bblab.lp import in_convex_hull_of_union
-from bblab.polytope import Polytope, leq_row
+from bblab.polytope import LE, LinearConstraint, Polytope
 from bblab.search import (
     FixedSequence,
     MostFractional,
@@ -86,7 +86,7 @@ def test_run_bb_without_objective_reports_found_integer_point():
     assert rep.status == "solved" and rep.value is None
     assert rep.point == (0, 0) and rep.nodes == 1
 
-    empty = Polytope(1, (leq_row((1,), 0), leq_row((-1,), -1)))
+    empty = Polytope(1, (LinearConstraint((1,), LE, 0), LinearConstraint((-1,), LE, -1)))
     rep = run_bb(empty, MostFractional())
     assert rep.status == "proved-infeasible" and rep.nodes == 1
 
@@ -138,7 +138,7 @@ def test_min_tree_size_guards():
     with pytest.raises(PNotInfeasible):
         min_tree_size(Polytope(1), 1, 4)
     with pytest.raises(TooLarge):
-        min_tree_size(Polytope(4, (leq_row((1, 1, 1, 1), -1),)), 1, 2)
+        min_tree_size(Polytope(4, (LinearConstraint((1, 1, 1, 1), LE, -1),)), 1, 2)
     P1 = gen_cross_polytope(CrossSpec(1))
     r = min_tree_size(P1, 1, 1)
     assert not r.exact and r.more_than == 1
@@ -157,7 +157,7 @@ def test_enumerate_bounded_trees_counts_and_shapes():
 
 def test_separation_resistance_simple_triangle():
     # engine-derived regression value: a single split already separates
-    P = Polytope(2, (leq_row((1, 1), F(3, 2)),))
+    P = Polytope(2, (LinearConstraint((1, 1), LE, F(3, 2)),))
     res = separation_resistance(P, (F(3, 4), F(3, 4)), 1, 3)
     assert res.separated and res.leaves == 2
     atoms = [a.polytope() for a in atoms_of(res.tree, P)]
