@@ -278,8 +278,9 @@ def criterion_8(reg: list):
             return False, f"seed {seed}: rhs {spec.rhs} != 2n/25"
         Q = gen_perturbed_cross(spec)
         for mask in (0, 1, 2 ** n - 1):
-            row = Q.rows[mask]
-            if row.rhs != spec.rhs - (n - mask.bit_count()):
+            # the >= row's <= form: -rhs, times its scale
+            (_, neg_rhs, scale), = Q.rows[mask].int_leq
+            if -neg_rhs != (spec.rhs - (n - mask.bit_count())) * scale:
                 return False, f"seed {seed}: stored rhs drifted on row {mask}"
         infeasible = enum_integer_points(Q) == []
         halves_ok = half_points_feasible(Q, s).holds

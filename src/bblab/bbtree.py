@@ -56,10 +56,10 @@ class Disjunction:
         return len(self.pi)
 
     def left_row(self):
-        return LinearConstraint(self.pi, LE, Fraction(self.pi0))
+        return LinearConstraint.from_ints(self.pi, LE, self.pi0)
 
     def right_row(self):
-        return LinearConstraint(self.pi, GE, Fraction(self.pi0 + 1))
+        return LinearConstraint.from_ints(self.pi, GE, self.pi0 + 1)
 
     @classmethod
     def from_json(cls, obj, path):

@@ -160,9 +160,7 @@ class FaceSpec:
 
     def as_polytope(self, n) -> Polytope:
         rows = tuple(
-            LinearConstraint(
-                tuple(Fraction(int(j == i)) for j in range(n)), EQ, Fraction(v)
-            )
+            LinearConstraint.from_ints([int(j == i) for j in range(n)], EQ, v)
             for i, v in sorted(self.fixed.items())
         )
         return Polytope(n, rows)

@@ -57,8 +57,19 @@ def _write_json(path, obj):
 
 
 def _read_json(path):
+    """A JSON input file; a key repeated within one object raises
+    MalformedInput naming it, where ``json.load`` would keep the last."""
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, object_pairs_hook=_unique_keys)
+
+
+def _unique_keys(pairs):
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise MalformedInput(f"{key}: key repeated in one JSON object")
+        obj[key] = value
+    return obj
 
 
 def _gen_polytope(family, n, k=None, seed=0, oracle=False, with_cover=False):
@@ -139,18 +150,7 @@ def cmd_check_tree(args):
             return USAGE_ERROR
         witnesses = {}
         if args.report:
-            rep_obj = _read_json(args.report)
-            if not isinstance(rep_obj, dict):
-                raise MalformedInput("report: not a JSON object")
-            with json_field("leaf_witnesses"):
-                claims = rep_obj.get("leaf_witnesses", {}).items()
-            for key, p in claims:
-                path = f"leaf_witnesses.{key}"
-                with json_field(path):
-                    i = integer(key)
-                    if not 0 <= i < tree.leaf_count:
-                        raise ValueError(f"no leaf {i} in a tree of {tree.leaf_count} leaves")
-                witnesses[i] = parse_list(p, path)
+            witnesses = _leaf_witnesses(_read_json(args.report), tree.leaf_count)
         rep = solves(tree, P, objective, witnesses)
         cert["verdict"] = rep.solved
         cert["objective"] = [rat_str(v) for v in objective]
@@ -178,6 +178,27 @@ def cmd_check_tree(args):
         return USAGE_ERROR
     _write_json(args.out, cert)
     return 0 if cert["verdict"] else 1
+
+
+def _leaf_witnesses(report, leaf_count):
+    """A run report's ``leaf_witnesses`` as {leaf index: point}.  A key that
+    is not a leaf index, or that names a leaf an earlier key named ("1"
+    and "01"), raises MalformedInput naming ``leaf_witnesses.<key>``."""
+    if not isinstance(report, dict):
+        raise MalformedInput("report: not a JSON object")
+    with json_field("leaf_witnesses"):
+        claims = report.get("leaf_witnesses", {}).items()
+    witnesses = {}
+    for key, p in claims:
+        path = f"leaf_witnesses.{key}"
+        with json_field(path):
+            i = integer(key)
+            if not 0 <= i < leaf_count:
+                raise ValueError(f"no leaf {i} in a tree of {leaf_count} leaves")
+            if i in witnesses:
+                raise ValueError(f"leaf {i} is already named by an earlier key")
+        witnesses[i] = parse_list(p, path)
+    return witnesses
 
 
 def _make_strategy(spec, path="strategy"):

@@ -12,6 +12,7 @@ seed, rounding denominator) so emitted files are self-describing.
 
 import hashlib
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -43,21 +44,21 @@ class CrossSpec:
 
 
 def cross_row(n, mask):
-    """The row indexed by J (bitmask): sum_J x + sum_notJ (1-x) >= 1/2."""
-    coeffs = tuple(1 if mask >> i & 1 else -1 for i in range(n))
+    """The row indexed by J (bitmask): sum_J x + sum_notJ (1-x) >= 1/2,
+    made from its doubled ints."""
+    coeffs = [2 if mask >> i & 1 else -2 for i in range(n)]
     outside = n - mask.bit_count()
-    return LinearConstraint(coeffs, GE, HALF - outside)
+    return LinearConstraint.from_ints(coeffs, GE, 1 - 2 * outside, 2)
 
 
+@dataclass(frozen=True)
 class CrossOracle:
     """Exact separation for the cross-polytope: the most violated row has
     J = {i : x_i <= 1/2} (ties included), which minimizes the LHS
     coordinatewise."""
 
+    n: int
     family = "cross"
-
-    def __init__(self, n):
-        self.n = n
 
     def find_violated(self, point):
         mask = 0
@@ -117,19 +118,19 @@ class PackingSpec:
 
 
 def packing_row(n, S):
-    coeffs = tuple(int(i in S) for i in range(n))
-    return LinearConstraint(coeffs, LE, len(S) - 1)
+    coeffs = [int(i in S) for i in range(n)]
+    return LinearConstraint.from_ints(coeffs, LE, len(S) - 1)
 
 
 def cover_row(n, k):
-    return LinearConstraint((1,) * n, GE, k)
+    return LinearConstraint.from_ints((1,) * n, GE, k)
 
 
+@dataclass(frozen=True)
 class PackingOracle:
+    n: int
+    k: int
     family = "packing"
-
-    def __init__(self, n, k):
-        self.n, self.k = n, k
 
     def find_violated(self, point):
         order = sorted(range(self.n), key=lambda i: (-point[i], i))
@@ -179,7 +180,7 @@ def gen_set_cover(n, k) -> Polytope:
     if not 2 <= k <= n / 2:
         raise SpecViolation("need 2 <= k <= n/2")
     rows = tuple(
-        LinearConstraint(tuple(int(i in S) for i in range(n)), GE, 1)
+        LinearConstraint.from_ints([int(i in S) for i in range(n)], GE, 1)
         for S in combinations(range(n), k)
     )
     return Polytope(n, rows, provenance={"family": "set-cover", "n": n, "k": k})
@@ -207,43 +208,64 @@ class PerturbedSpec:
         return Fraction(2 * self.n, 25)
 
 
-def _unit_uniforms(seed, mask, i):
-    payload = (
+_UNIFORMS = struct.Struct("<QQ")
+_COLUMNS = [i.to_bytes(2, "little") for i in range(_EXPLICIT_CAP)]
+
+
+def _noise_row(seed, sigma, denom, mask, n):
+    """N(0, sigma^2) draws for row I (bitmask), columns 0..n-1, each as an
+    integer count of 1/denom units; ``sigma`` is a float.
+
+    Column i's two uniforms are the top 53 bits of the first two 8-byte
+    words of SHA-256("bblab-perturbed", seed, mask, i), and one Box-Muller
+    step makes the draw.  The row's columns share the hash of the prefix up
+    to the mask; each digest extends a copy of it.
+    """
+    base = hashlib.sha256(
         b"bblab-perturbed"
         + int(seed).to_bytes(8, "little", signed=True)
         + int(mask).to_bytes(4, "little")
-        + int(i).to_bytes(2, "little")
     )
-    h = hashlib.sha256(payload).digest()
-    k1 = int.from_bytes(h[0:8], "little") >> 11
-    k2 = int.from_bytes(h[8:16], "little") >> 11
-    return (k1 + 0.5) / 2.0 ** 53, (k2 + 0.5) / 2.0 ** 53
-
-
-def _noise_units(seed, sigma, denom, mask, i):
-    """One N(0, sigma^2) draw for row I (bitmask) and column i, as an integer
-    count of 1/denom units; ``sigma`` is a float."""
-    u1, u2 = _unit_uniforms(seed, mask, i)
-    z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-    return round(z * sigma * denom)
+    log, sqrt, cos, two_pi = math.log, math.sqrt, math.cos, 2.0 * math.pi
+    unpack = _UNIFORMS.unpack_from
+    unit = 2.0 ** 53
+    out = []
+    for column in _COLUMNS[:n]:
+        h = base.copy()
+        h.update(column)
+        k1, k2 = unpack(h.digest())
+        u1, u2 = ((k1 >> 11) + 0.5) / unit, ((k2 >> 11) + 0.5) / unit
+        z = sqrt(-2.0 * log(u1)) * cos(two_pi * u2)
+        out.append(round(z * sigma * denom))
+    return out
 
 
 def gen_perturbed_cross(spec: PerturbedSpec) -> Polytope:
     """The cross-polytope with iid N(0, 1/20^2) noise on each coefficient and
     right-hand side 1.6n/20; deterministic in the seed, coefficients rounded
-    to multiples of 1/2^20."""
+    to multiples of 1/2^20.
+
+    Row I is  sum_i s_i (1 + e_i) x_i >= rhs - (n - |I|)  with s_i = +1 on
+    I and -1 off it, e_i the noise.  Over the common denominator L of
+    1/denom and rhs it is an integer row: coefficients +-(denom + units_i)
+    * (L / denom) and right-hand side L * (rhs - n + |I|), so the rows are
+    made from the noise units with no Fraction.
+    """
     n, seed, denom = spec.n, spec.seed, spec.denom
     sigma = float(spec.sigma)
     rhs = spec.rhs
+    L = math.lcm(denom, rhs.denominator)
+    mult = L // denom
+    rhs_units = rhs.numerator * (L // rhs.denominator)
+    from_ints = LinearConstraint.from_ints
     rows = []
     for mask in range(2 ** n):
-        coeffs = []
-        for i in range(n):
-            # 1 + noise, in 1/denom units
-            c = denom + _noise_units(seed, sigma, denom, mask, i)
-            coeffs.append(Fraction(c if mask >> i & 1 else -c, denom))
+        coeffs = [
+            (denom + e) * mult if mask >> i & 1 else -(denom + e) * mult
+            for i, e in enumerate(_noise_row(seed, sigma, denom, mask, n))
+        ]
         shift = n - mask.bit_count()
-        rows.append(LinearConstraint(tuple(coeffs), GE, rhs - shift))
+        rows.append(from_ints(coeffs, GE, rhs_units - shift * L, L))
     prov = {
         "family": "perturbed-cross",
         "n": n,
@@ -284,7 +306,7 @@ def gen_tsp_subtour(spec: TspSpec) -> Polytope:
         for u in range(n):
             if u != v:
                 coeffs[eidx[(min(u, v), max(u, v))]] = 1
-        rows.append(LinearConstraint(tuple(coeffs), EQ, 2))
+        rows.append(LinearConstraint.from_ints(coeffs, EQ, 2))
     for size in range(2, n - 1):
         for rest in combinations(range(1, n), size - 1):
             W = {0, *rest}
@@ -292,7 +314,7 @@ def gen_tsp_subtour(spec: TspSpec) -> Polytope:
             for (u, v) in edges:
                 if (u in W) != (v in W):
                     coeffs[eidx[(u, v)]] = 1
-            rows.append(LinearConstraint(tuple(coeffs), GE, 2))
+            rows.append(LinearConstraint.from_ints(coeffs, GE, 2))
     return Polytope(
         m, tuple(rows), provenance={"family": "tsp-subtour", "cities": n}
     )

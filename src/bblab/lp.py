@@ -155,10 +155,10 @@ def _assemble_farkas(P, entries, u, n):
 def verify_farkas(P: Polytope, cert) -> None:
     """Exact check of an infeasibility certificate; raises InternalError.
 
-    Independent of the LP's integer rows: each cited row is read off
-    ``row_for_ref``, its own ``as_leq()`` pair, and put over its common
-    denominator here, and the multipliers over theirs, so the identities
-    below are tested in integers.
+    Independent of the LP's entries: each cited row is looked up in ``P``
+    by its reference (``row_for_ref``, the row's ``as_leq()`` pair as
+    Fractions) and put over its common denominator here, and the
+    multipliers over theirs, so the identities below are tested in integers.
     """
     weights, _ = point_to_ints([mult for _, mult in cert])
     if any(w < 0 for w in weights):

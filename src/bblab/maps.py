@@ -20,7 +20,7 @@ from .errors import (
     NonCanonicalMap,
     json_field,
 )
-from .polytope import EQ, LinearConstraint, Polytope
+from .polytope import EQ, GE, LinearConstraint, Polytope
 from .rationals import integer, parse_list
 
 
@@ -215,9 +215,10 @@ def apply_map_polytope(f: AffineMap, P: Polytope) -> Polytope:
         J = f.spec.J
         rows = []
         for row in P.rows:
-            coeffs = tuple(-c if i in J else c for i, c in enumerate(row.coeffs))
-            shift = sum((row.coeffs[i] for i in J), Fraction(0))
-            rows.append(LinearConstraint(coeffs, row.rel, row.rhs - shift))
+            coeffs, rhs, _ = row.int_leq[0]
+            shift = sum(coeffs[i] for i in J)
+            flipped = [-c if i in J else c for i, c in enumerate(coeffs)]
+            rows.append(_same_scale(row, flipped, rhs - shift))
         return Polytope(P.dim, tuple(rows))
 
     if f.kind == "embed":
@@ -226,9 +227,8 @@ def apply_map_polytope(f: AffineMap, P: Polytope) -> Polytope:
         rows = [_lift_row(row, total, spec.positions) for row in P.rows]
         for i in range(spec.n, total):
             out = spec.positions[i]
-            coeffs = tuple(Fraction(int(t == out)) for t in range(total))
-            value = Fraction(0) if i < spec.n + spec.zeros else Fraction(1)
-            rows.append(LinearConstraint(coeffs, EQ, value))
+            coeffs = [int(t == out) for t in range(total)]
+            rows.append(LinearConstraint.from_ints(coeffs, EQ, int(i >= spec.n + spec.zeros)))
         return Polytope(total, tuple(rows))
 
     spec = f.spec
@@ -236,18 +236,28 @@ def apply_map_polytope(f: AffineMap, P: Polytope) -> Polytope:
     identity_pos = tuple(range(total))
     rows = [_lift_row(row, total, identity_pos) for row in P.rows]
     for i, j in enumerate(spec.indices):
-        coeffs = [Fraction(0)] * total
-        coeffs[spec.n + i] = Fraction(1)
-        coeffs[j] -= Fraction(1)
-        rows.append(LinearConstraint(tuple(coeffs), EQ, Fraction(0)))
+        coeffs = [0] * total
+        coeffs[spec.n + i] = 1
+        coeffs[j] -= 1
+        rows.append(LinearConstraint.from_ints(coeffs, EQ, 0))
     return Polytope(total, tuple(rows))
 
 
 def _lift_row(row, total, positions):
-    coeffs = [Fraction(0)] * total
-    for i, c in enumerate(row.coeffs):
+    ints, rhs, _ = row.int_leq[0]
+    coeffs = [0] * total
+    for i, c in enumerate(ints):
         coeffs[positions[i]] = c
-    return LinearConstraint(tuple(coeffs), row.rel, row.rhs)
+    return _same_scale(row, coeffs, rhs)
+
+
+def _same_scale(row, coeffs, rhs):
+    """The row of ``row``'s relation and scale whose <= form is the image
+    ``coeffs . x <= rhs`` of ``row.int_leq[0]``."""
+    sign = -1 if row.rel == GE else 1
+    return LinearConstraint.from_ints(
+        [sign * c for c in coeffs], row.rel, sign * rhs, row.int_leq[0][2]
+    )
 
 
 def _spec_to_json(kind, spec):

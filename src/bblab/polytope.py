@@ -1,12 +1,18 @@
-"""Rational linear constraints and explicit/oracle-backed polytopes in [0,1]^n."""
+"""Linear constraints held as coprime integer rows, and polytopes in [0,1]^n.
+
+A ``LinearConstraint`` is stored as its ``<=`` form scaled to coprime
+integers, once, when it is made; every check, scan and LP reads those ints.
+The rational coefficients and right-hand side of the row as given are a view
+built from the ints on demand: file output, ``as_leq`` pairs, and the rows
+that ``row_for_ref`` hands to certificate checks.
+"""
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from math import gcd
 
 from .errors import DimensionMismatch, MalformedInput, TooLargeForExplicit, json_field
 from .rationals import (
-    clear_denominators,
     integer,
     parse_list,
     point_to_ints,
@@ -19,23 +25,88 @@ LE, GE, EQ = "<=", ">=", "="
 _RELATIONS = (LE, GE, EQ)
 
 
-@dataclass(frozen=True)
 class LinearConstraint:
-    """One row ``coeffs . x  rel  rhs`` with exact rational data."""
+    """One row ``coeffs . x  rel  rhs`` with exact rational data.
 
-    coeffs: tuple
-    rel: str
-    rhs: Fraction
+    Stored as ``int_leq``: one (coeffs, rhs, scale) triple per ``<=`` pair
+    of ``as_leq()``, where ``coeffs`` is a tuple of coprime ints, ``rhs`` an
+    int and ``scale`` the positive rational (an int when integral) with
+    ``coeffs == pair_coeffs * scale`` and ``rhs == pair_rhs * scale``.  An
+    equality row has the ``<=`` side first, then its negation.  ``coeffs``
+    and ``rhs`` as Fractions are a view of the ints, built on first use.
+    Rows are immutable, and equal exactly when their rational data are.
+    """
 
-    def __post_init__(self):
-        if self.rel not in _RELATIONS:
-            raise ValueError(f"unknown relation {self.rel!r}")
-        object.__setattr__(self, "coeffs", rat_vector(self.coeffs))
-        object.__setattr__(self, "rhs", rat(self.rhs))
+    __slots__ = ("rel", "int_leq", "_view")
+
+    def __init__(self, coeffs, rel, rhs):
+        """The row from its rational data: ints, Fractions or "p/q" strings."""
+        nums, den = point_to_ints([v if type(v) is int else rat(v) for v in (*coeffs, rhs)])
+        self._store(nums[:-1], rel, nums[-1], den)
+
+    @classmethod
+    def from_ints(cls, coeffs, rel, rhs, scale=1):
+        """The row ``coeffs / scale  rel  rhs / scale`` from int ``coeffs``
+        and ``rhs`` and a positive int or Fraction ``scale``; no Fraction is
+        built unless the common factor leaves ``scale`` fractional."""
+        row = cls.__new__(cls)
+        row._store(coeffs, rel, rhs, scale)
+        return row
+
+    def _store(self, coeffs, rel, rhs, scale):
+        if rel not in _RELATIONS:
+            raise ValueError(f"unknown relation {rel!r}")
+        if rel == GE:
+            coeffs, rhs = [-v for v in coeffs], -rhs
+        g = gcd(*coeffs, rhs)
+        if g > 1:
+            coeffs, rhs = [v // g for v in coeffs], rhs // g
+            scale = Fraction(scale, g)
+        elif g == 0:
+            scale = 1  # 0 . x <= 0, however it was scaled
+        if scale.denominator == 1:
+            scale = scale.numerator
+        le = (tuple(coeffs), rhs, scale)
+        leq = (le, (tuple(-v for v in le[0]), -rhs, scale)) if rel == EQ else (le,)
+        object.__setattr__(self, "rel", rel)
+        object.__setattr__(self, "int_leq", leq)
+        object.__setattr__(self, "_view", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"LinearConstraint is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rel == other.rel and self.int_leq[0] == other.int_leq[0]
+
+    def __hash__(self):
+        return hash((self.coeffs, self.rel, self.rhs))
+
+    def __repr__(self):
+        return f"LinearConstraint(coeffs={self.coeffs!r}, rel={self.rel!r}, rhs={self.rhs!r})"
+
+    def _fractions(self):
+        if self._view is None:
+            coeffs, rhs, scale = self.int_leq[0]
+            p, q = (-scale.numerator if self.rel == GE else scale.numerator), scale.denominator
+            view = (tuple(Fraction(v * q, p) for v in coeffs), Fraction(rhs * q, p))
+            object.__setattr__(self, "_view", view)
+        return self._view
+
+    @property
+    def coeffs(self):
+        """The coefficients as given, as a tuple of Fractions."""
+        return self._fractions()[0]
+
+    @property
+    def rhs(self):
+        """The right-hand side as given, as a Fraction."""
+        return self._fractions()[1]
 
     @property
     def dim(self):
-        return len(self.coeffs)
+        return len(self.int_leq[0][0])
 
     def holds_at(self, nums, den) -> bool:
         """Does the row hold at the point nums/den (ints, den > 0)?"""
@@ -45,30 +116,17 @@ class LinearConstraint:
         return True
 
     def as_leq(self):
-        """This row as a list of (coeffs, rhs) pairs meaning coeffs.x <= rhs."""
+        """This row as a list of (coeffs, rhs) Fraction pairs meaning
+        coeffs.x <= rhs."""
+        coeffs, rhs = self._fractions()
         if self.rel == LE:
-            return [(self.coeffs, self.rhs)]
+            return [(coeffs, rhs)]
         if self.rel == GE:
-            return [(tuple(-c for c in self.coeffs), -self.rhs)]
+            return [(tuple(-c for c in coeffs), -rhs)]
         return [
-            (self.coeffs, self.rhs),
-            (tuple(-c for c in self.coeffs), -self.rhs),
+            (coeffs, rhs),
+            (tuple(-c for c in coeffs), -rhs),
         ]
-
-    @cached_property
-    def int_leq(self):
-        """``as_leq()`` as coprime integer rows, computed once per constraint.
-
-        A list of (coeffs, rhs, scale), one per <= pair: ``coeffs`` is a tuple
-        of ints, and ``coeffs == pair_coeffs * scale`` and
-        ``rhs == pair_rhs * scale`` with ``scale`` a positive Fraction.
-        """
-        ints, scale = clear_denominators([*self.coeffs, self.rhs])
-        le = (tuple(ints[:-1]), ints[-1], scale)
-        if self.rel == LE:
-            return [le]
-        ge = (tuple(-v for v in le[0]), -le[1], scale)
-        return [ge] if self.rel == GE else [le, ge]
 
     def normalized(self):
         """Canonical scaling-invariant form, for row-set comparisons.
@@ -86,10 +144,11 @@ class LinearConstraint:
         return coeffs, EQ, rhs
 
     def to_json(self):
+        coeffs, rhs = self._fractions()
         return {
-            "coeffs": [rat_str(c) for c in self.coeffs],
+            "coeffs": [rat_str(c) for c in coeffs],
             "rel": self.rel,
-            "rhs": rat_str(self.rhs),
+            "rhs": rat_str(rhs),
         }
 
     @classmethod
@@ -148,8 +207,8 @@ class Polytope:
     def int_system(self):
         """The canonical <=-form row system, as coprime integer rows.
 
-        A list of (ref, coeffs, rhs, scale) with the ints of
-        ``LinearConstraint.int_leq``.  refs: ("row", i) for a <=/>= explicit
+        A list of (ref, coeffs, rhs, scale), each the ``int_leq`` triple its
+        row stores.  refs: ("row", i) for a <=/>= explicit
         row, ("row", i, "le"/"ge") for the two sides of an equality, then
         ("box_hi", j) for x_j <= 1, a unit row of plain ints with scale 1.
         The box's -x_j <= 0 rows (ref ("box_lo", j)) are left out, since the
@@ -170,7 +229,8 @@ class Polytope:
         return out
 
     def row_for_ref(self, ref):
-        """Resolve a certificate reference to a (coeffs, rhs) <=-form pair.
+        """Resolve a certificate reference to a (coeffs, rhs) <=-form pair
+        of Fractions: the row's own ``as_leq()`` pair, not its ints.
 
         refs are those of ``int_system``, ("box_lo", j) for -x_j <= 0, and
         ("oracle", row) for an activated row of the oracle family, which

@@ -1,11 +1,12 @@
 """Helpers for exact rational values and their "p/q" string form.
 
-Every number that crosses a file-format boundary is a string "p" or "p/q";
-in memory every public value is a ``fractions.Fraction`` (or a plain int
-where the value is known integral, e.g. disjunction coefficients).  Hot loops
-work on ints instead: a row is scaled once to coprime integers
-(``clear_denominators``) and a point is put over its least common
-denominator (``point_to_ints``).
+Every number that crosses a file-format boundary is a string "p" or "p/q",
+read with ``rat`` into a ``fractions.Fraction``.  Inside the program rows
+are coprime integer rows (``LinearConstraint.int_leq``), made once;
+``Fraction`` is built for file output, certificates, LP points and values,
+and the few checks that are stated in rationals.  ``clear_denominators``
+scales a rational vector to coprime integers and ``point_to_ints`` puts a
+point over its least common denominator.
 """
 
 from fractions import Fraction
@@ -14,26 +15,14 @@ from math import gcd
 from .errors import MalformedInput, json_field
 
 
-# One shared Fraction per small integer: rows are mostly 0 and +-1, and a
-# Fraction is immutable, so every row can hold the same few instances.
-_SMALL = {v: Fraction(v) for v in range(-4, 5)}
-
-
 def rat(value) -> Fraction:
-    """Parse a rational from an int, Fraction, or a "p/q" / "p" string.
-
-    An int or string in -4..4 comes back as its one shared instance.  A
-    Fraction comes back as it is: testing its denominator would cost every
-    coefficient a property call, so generators pass small integers as ints.
-    """
+    """Parse a rational from an int, Fraction, or a "p/q" / "p" string."""
     if isinstance(value, Fraction):
         return value
     if type(value) is int:  # a bool is refused, not read as 0 or 1
-        small = _SMALL.get(value)
-        return Fraction(value) if small is None else small
+        return Fraction(value)
     if isinstance(value, str):
-        value = Fraction(_digits(value))
-        return _SMALL.get(value.numerator, value) if value.denominator == 1 else value
+        return Fraction(_digits(value))
     raise TypeError(f"not a rational: {value!r}")
 
 

@@ -191,8 +191,11 @@ def solve(nvars, rows, rels, rhs, objective=None, maximize=False):
 def _integer_row(values):
     """``values`` as coprime ints, with the positive scale s: ints == values * s.
 
-    An all-int row is only divided by its gcd, with no Fraction built; any
-    other row goes through ``clear_denominators``.  Both give the same ints.
+    An all-int row, as every polytope row is, is only divided by its gcd,
+    with no Fraction built.  Rational input still comes from
+    ``lp_optimize``'s objective, the hull LP's query point and the convex
+    weights' rows; it goes through ``clear_denominators``.  Both give the
+    same ints.
     """
     if all(type(v) is int for v in values):
         g = gcd(*values)

@@ -11,15 +11,23 @@ oracle re-checks a certificate in ``Fraction`` arithmetic, as
 come from a textbook ``Fraction`` Gauss-Jordan elimination, not from the
 integer pivot that ``lp`` runs on.  ``full_tableau_solve`` is the simplex
 as it was before the tableau was condensed: it stores every column, basic
-or not, and pivots them all.
+or not, and pivots them all.  ``FractionConstraint`` is a row as it was
+before rows became integer-first: it holds the ``Fraction`` data and
+derives its integer forms from them; the ``fraction_*_rows`` functions are
+the generators as they were then, building each row from ``Fraction`` data.
 """
 
+import hashlib
+import math
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
+from math import gcd
 
 from bblab.errors import InternalError
-from bblab.polytope import EQ, LE
-from bblab.rationals import dot
+from bblab.polytope import EQ, GE, LE
+from bblab.rationals import dot, rat, rat_str
 from bblab.simplex import _integer_row
 
 
@@ -307,3 +315,145 @@ def full_tableau_solve(nvars, rows, rels, rhs, objective=None, maximize=False):
     if objective is not None:
         value = Fraction(sum(cj * v for cj, v in zip(c, nums)), den) / cscale
     return "optimal", x, value, None, state["pivots"]
+
+
+def fraction_clear_denominators(values):
+    """``values`` scaled to coprime integers in Fraction arithmetic:
+    (ints, scale) with ints == [v * scale for v in values], scale > 0."""
+    fracs = [Fraction(v) for v in values]
+    lcm = 1
+    for f in fracs:
+        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
+    ints = [int(f * lcm) for f in fracs]
+    g = 0
+    for k in ints:
+        g = gcd(g, k)
+    if g > 1:
+        return [k // g for k in ints], Fraction(lcm, g)
+    return ints, Fraction(lcm)
+
+
+@dataclass(frozen=True)
+class FractionConstraint:
+    """One row ``coeffs . x  rel  rhs`` held as Fractions; its integer
+    forms are derived from them."""
+
+    coeffs: tuple
+    rel: str
+    rhs: Fraction
+
+    def __post_init__(self):
+        if self.rel not in (LE, GE, EQ):
+            raise ValueError(f"unknown relation {self.rel!r}")
+        object.__setattr__(self, "coeffs", tuple(rat(v) for v in self.coeffs))
+        object.__setattr__(self, "rhs", rat(self.rhs))
+
+    def as_leq(self):
+        if self.rel == LE:
+            return [(self.coeffs, self.rhs)]
+        if self.rel == GE:
+            return [(tuple(-c for c in self.coeffs), -self.rhs)]
+        return [(self.coeffs, self.rhs), (tuple(-c for c in self.coeffs), -self.rhs)]
+
+    @cached_property
+    def int_leq(self):
+        out = []
+        for coeffs, rhs in self.as_leq():
+            ints, scale = fraction_clear_denominators([*coeffs, rhs])
+            out.append((tuple(ints[:-1]), ints[-1], scale))
+        return out
+
+    def normalized(self):
+        coeffs, rhs, _ = self.int_leq[0]
+        if self.rel != EQ:
+            return coeffs, LE, rhs
+        lead = next((v for v in (*coeffs, rhs) if v != 0), 0)
+        if lead < 0:
+            coeffs, rhs, _ = self.int_leq[1]
+        return coeffs, EQ, rhs
+
+    def to_json(self):
+        return {
+            "coeffs": [rat_str(c) for c in self.coeffs],
+            "rel": self.rel,
+            "rhs": rat_str(self.rhs),
+        }
+
+
+def assert_same_row(row, ref):
+    """``row`` (a LinearConstraint) and ``ref`` (a FractionConstraint) are
+    the same row in every form the program reads."""
+    assert row.rel == ref.rel and row.dim == len(ref.coeffs)
+    assert list(row.int_leq) == ref.int_leq
+    assert row.normalized() == ref.normalized()
+    assert row.as_leq() == ref.as_leq()
+    assert row.to_json() == ref.to_json()
+    assert (row.coeffs, row.rhs) == (ref.coeffs, ref.rhs)
+    assert all(type(v) is Fraction for v in (*row.coeffs, row.rhs))
+    assert hash(row) == hash(ref)
+
+
+def fraction_cross_rows(n):
+    half = Fraction(1, 2)
+    return [
+        FractionConstraint(
+            tuple(Fraction(1 if mask >> i & 1 else -1) for i in range(n)),
+            GE, half - (n - bin(mask).count("1")),
+        )
+        for mask in range(2 ** n)
+    ]
+
+
+def fraction_packing_rows(n, k, with_cover=False):
+    rows = [
+        FractionConstraint(tuple(Fraction(int(i in S)) for i in range(n)), LE, Fraction(k - 1))
+        for S in combinations(range(n), k)
+    ]
+    if with_cover:
+        rows.append(FractionConstraint((Fraction(1),) * n, GE, Fraction(k)))
+    return rows
+
+
+def fraction_cover_rows(n, k):
+    return [
+        FractionConstraint(tuple(Fraction(int(i in S)) for i in range(n)), GE, Fraction(1))
+        for S in combinations(range(n), k)
+    ]
+
+
+def fraction_tsp_rows(n):
+    edges = list(combinations(range(n), 2))
+    rows = []
+    for v in range(n):
+        coeffs = tuple(Fraction(int(v in e)) for e in edges)
+        rows.append(FractionConstraint(coeffs, EQ, Fraction(2)))
+    for size in range(2, n - 1):
+        for rest in combinations(range(1, n), size - 1):
+            W = {0, *rest}
+            coeffs = tuple(Fraction(int((u in W) != (v in W))) for u, v in edges)
+            rows.append(FractionConstraint(coeffs, GE, Fraction(2)))
+    return rows
+
+
+def fraction_perturbed_rows(n, seed, sigma=Fraction(1, 20), denom=2 ** 20):
+    """Each coefficient +-(1 + noise) as a Fraction over ``denom``, the noise
+    drawn from its own SHA-256 of the full payload, one per coefficient."""
+    rhs = Fraction(2 * n, 25)
+    rows = []
+    for mask in range(2 ** n):
+        coeffs = []
+        for i in range(n):
+            payload = (
+                b"bblab-perturbed"
+                + int(seed).to_bytes(8, "little", signed=True)
+                + int(mask).to_bytes(4, "little")
+                + int(i).to_bytes(2, "little")
+            )
+            h = hashlib.sha256(payload).digest()
+            u1 = ((int.from_bytes(h[0:8], "little") >> 11) + 0.5) / 2.0 ** 53
+            u2 = ((int.from_bytes(h[8:16], "little") >> 11) + 0.5) / 2.0 ** 53
+            z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+            c = denom + round(z * float(sigma) * denom)
+            coeffs.append(Fraction(c if mask >> i & 1 else -c, denom))
+        rows.append(FractionConstraint(tuple(coeffs), GE, rhs - (n - bin(mask).count("1"))))
+    return rows

@@ -90,6 +90,26 @@ def test_enum_cross_oracle_larger_dimension_is_empty():
     assert enum_integer_points(gen_cross_polytope(CrossSpec(10, "oracle"))) == []
 
 
+def test_enum_work_on_p12_is_pinned(monkeypatch):
+    # Each 0/1 point of the criterion-8 instance is cut by the one row that
+    # peaks there, so the scan makes one call per point on a list of one row.
+    # Without the peak index every call would scan up to all 4,096 rows.
+    from bblab import _kernel
+
+    Q = gen_perturbed_cross(PerturbedSpec(12, seed=0))
+    calls, rows_handed = [], []
+    real = _kernel.first_violated_mask
+
+    def counted(rows, mask):
+        calls.append(mask)
+        rows_handed.append(len(rows))
+        return real(rows, mask)
+
+    monkeypatch.setattr(_kernel, "first_violated_mask", counted)
+    assert enum_integer_points(Q) == []
+    assert len(calls) == 4096 and sum(rows_handed) == 4096
+
+
 def test_criticality_bound_error_paths():
     P = gen_packing_family(PackingSpec(4, 2))
     with pytest.raises(PIsFeasible):

@@ -360,6 +360,43 @@ def test_malformed_report_and_experiment_config_exit_2_naming_the_field(tmp_path
     assert not (tmp_path / "out").exists()
 
 
+def test_repeated_keys_and_leaves_exit_2_naming_them(tmp_path, capsys):
+    p, t, rep = tmp_path / "p.json", tmp_path / "t.json", tmp_path / "rep.json"
+    run_cli("gen", "--family", "packing", "--n", "4", "--k", "2", "--out", str(p))
+    t.write_text(json.dumps(full_variable_tree(4).to_json()))
+    check = ["check-tree", "--polytope", str(p), "--tree", str(t), "--mode", "solves",
+             "--objective", "ones", "--out", str(tmp_path / "out")]
+    # "1" and "01" both name leaf 1; the second claim is refused, not kept
+    rep.write_text(json.dumps({"leaf_witnesses": {"1": ["0", "0", "0", "1"],
+                                                  "01": ["1", "1", "1", "1"]}}))
+    capsys.readouterr()
+    assert run_cli(*check, "--report", str(rep)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: leaf_witnesses.01: leaf 1 is already named") and "Traceback" not in err
+    # a key repeated in one object of any input file is refused, wherever it is
+    polytope, tree = p.read_text(), t.read_text()
+    cfg = tmp_path / "cfg.json"
+    cases = [
+        (p, polytope.replace('"dim": 4', '"dim": 4, "dim": 3', 1), "dim", check),
+        (p, polytope.replace('"rel": "<="', '"rel": "<=", "rel": ">="', 1), "rel", check),
+        (t, tree.replace('"pi0": "0"', '"pi0": "0", "pi0": "1"', 1), "pi0", check),
+        (rep, '{"leaf_witnesses": {"1": ["0", "0", "0", "1"], "1": ["1", "1", "1", "1"]}}',
+         "1", check + ["--report", str(rep)]),
+        (cfg, '{"family": "cross", "n": [2], "n": [3], "strategies": []}', "n",
+         ["experiment", "--config", str(cfg), "--out", str(tmp_path / "out")]),
+    ]
+    for path, text, key, argv in cases:
+        assert text.count(f'"{key}"') >= 2
+        original = path.read_text() if path.exists() else None
+        path.write_text(text)
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {key}: key repeated in one JSON object\n"
+        if original is not None:
+            path.write_text(original)
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_polytope_outside_the_box_exits_2_naming_box(tmp_path, capsys):
     # Outside the box, x >= 1/2 is unbounded, which no LP verdict covers.
     p = tmp_path / "p.json"

@@ -21,11 +21,20 @@ from bblab.families import (
     gen_set_cover,
     gen_tsp_subtour,
     tsp_edges,
-    _noise_units,
+    _noise_row,
 )
 from bblab.lp import lp_optimize
 from bblab.polytope import Polytope
 from bblab.rationals import dot, point_to_ints
+
+from _oracles import (
+    assert_same_row,
+    fraction_cover_rows,
+    fraction_cross_rows,
+    fraction_packing_rows,
+    fraction_perturbed_rows,
+    fraction_tsp_rows,
+)
 
 F = Fraction
 HALF = F(1, 2)
@@ -127,6 +136,29 @@ def test_perturbed_determinism_and_exact_fields():
         PerturbedSpec(17, seed=0)
 
 
+def test_generators_equal_their_fraction_builds_row_for_row():
+    cases = []
+    for n in range(1, 7):
+        cases.append((gen_cross_polytope(CrossSpec(n)).rows, fraction_cross_rows(n)))
+        oracle = gen_cross_polytope(CrossSpec(n, "oracle")).oracle
+        cases.append((oracle.explicit_rows(), fraction_cross_rows(n)))
+    for n in range(4, 8):
+        for k in range(2, n // 2 + 1):
+            for cover in (False, True):
+                P = gen_packing_family(PackingSpec(n, k, with_cover=cover))
+                cases.append((P.rows, fraction_packing_rows(n, k, cover)))
+            cases.append((gen_set_cover(n, k).rows, fraction_cover_rows(n, k)))
+    for cities in range(3, 8):
+        cases.append((gen_tsp_subtour(TspSpec(cities)).rows, fraction_tsp_rows(cities)))
+    for n, seed in ((1, 5), (3, 0), (8, 0), (8, 1001)):
+        P = gen_perturbed_cross(PerturbedSpec(n, seed=seed))
+        cases.append((P.rows, fraction_perturbed_rows(n, seed)))
+    for rows, refs in cases:
+        assert len(rows) == len(refs)
+        for row, ref in zip(rows, refs):
+            assert_same_row(row, ref)
+
+
 def test_perturbed_instance_is_pinned():
     # The n = 12, seed 0 instance of acceptance criterion 8.  Files written by
     # the all-Fraction generator that the integer-grid one replaced carried
@@ -156,10 +188,10 @@ def test_perturbed_coefficients_are_one_plus_gaussian_noise():
     for spec in (PerturbedSpec(4, seed=2), PerturbedSpec(4, seed=7, sigma=F(1, 3))):
         P = gen_perturbed_cross(spec)
         for mask, row in enumerate(P.rows):
+            noise = _noise_row(spec.seed, float(spec.sigma), spec.denom, mask, spec.n)
             for i, coeff in enumerate(row.coeffs):
                 sign = 1 if mask >> i & 1 else -1
-                units = _noise_units(spec.seed, float(spec.sigma), spec.denom, mask, i)
-                assert coeff == sign * (1 + F(units, spec.denom))
+                assert coeff == sign * (1 + F(noise[i], spec.denom))
 
 
 def test_perturbed_coefficients_near_unperturbed_values():

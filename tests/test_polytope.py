@@ -1,48 +1,35 @@
 import json
 import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bblab.errors import DimensionMismatch, MalformedInput
 from bblab.families import (
     CrossSpec,
     PerturbedSpec,
-    TspSpec,
     gen_cross_polytope,
     gen_perturbed_cross,
-    gen_tsp_subtour,
 )
 from bblab.polytope import GE, LE, LinearConstraint, Polytope
 from bblab.rationals import clear_denominators, dot, point_to_ints, rat
 
+from _oracles import FractionConstraint, assert_same_row, fraction_clear_denominators
+
 F = Fraction
 
 
-# The Fraction definitions of the integer row forms, kept here as the
-# reference the integer code must match.
-
-def _fraction_clear_denominators(values):
-    fracs = [Fraction(v) for v in values]
-    lcm = 1
-    for f in fracs:
-        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    ints = [int(f * lcm) for f in fracs]
-    g = 0
-    for k in ints:
-        g = gcd(g, k)
-    if g > 1:
-        return [k // g for k in ints], Fraction(lcm, g)
-    return ints, Fraction(lcm)
-
+# The Fraction definitions of the integer row forms, kept as the reference
+# the integer code must match.
 
 def _fraction_normalized(row):
     if row.rel == ">=":
         coeffs, rhs, rel = tuple(-c for c in row.coeffs), -row.rhs, "<="
     else:
         coeffs, rhs, rel = row.coeffs, row.rhs, row.rel
-    ints, _ = _fraction_clear_denominators(list(coeffs) + [rhs])
+    ints, _ = fraction_clear_denominators(list(coeffs) + [rhs])
     if rel == "=":
         lead = next((v for v in ints if v != 0), 0)
         if lead < 0:
@@ -78,7 +65,7 @@ def test_clear_denominators_and_point_to_ints_match_fraction_definitions():
     vectors += [[_random_entry(rng) for _ in range(rng.randint(1, 7))] for _ in range(300)]
     for values in vectors:
         ints, scale = clear_denominators(values)
-        assert (ints, scale) == _fraction_clear_denominators(values)
+        assert (ints, scale) == fraction_clear_denominators(values)
         assert all(type(v) is int for v in ints)
         nums, den = point_to_ints(values)
         assert den > 0 and [F(v, den) for v in nums] == [F(v) for v in values]
@@ -91,8 +78,55 @@ def test_normalized_and_int_leq_match_fraction_definitions():
         pairs = row.as_leq()
         assert len(row.int_leq) == len(pairs)
         for (coeffs, rhs, scale), (pair_coeffs, pair_rhs) in zip(row.int_leq, pairs):
-            ints, want_scale = _fraction_clear_denominators(list(pair_coeffs) + [pair_rhs])
+            ints, want_scale = fraction_clear_denominators(list(pair_coeffs) + [pair_rhs])
             assert list(coeffs) + [rhs] == ints and scale == want_scale
+
+
+_entries = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+)
+
+
+@st.composite
+def _row_data(draw):
+    n = draw(st.integers(1, 6))
+    coeffs = tuple(draw(st.lists(_entries, min_size=n, max_size=n)))
+    return coeffs, draw(st.sampled_from(["<=", ">=", "="])), draw(_entries)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(a=_row_data(), b=_row_data(),
+       k=st.fractions(min_value=F(1, 4), max_value=4, max_denominator=6).filter(bool))
+def test_integer_rows_match_the_fraction_rows(a, b, k):
+    row, ref = LinearConstraint(*a), FractionConstraint(*a)
+    assert_same_row(row, ref)
+    # the same data as strings, and as the ints of its <= form
+    coeffs, rel, rhs = a
+    assert LinearConstraint([str(v) for v in coeffs], rel, str(rhs)) == row
+    ints, b_int, scale = row.int_leq[0]
+    sign = -1 if rel == GE else 1
+    for m in (1, 3):  # the ints need not be coprime
+        from_ints = LinearConstraint.from_ints([m * sign * v for v in ints], rel,
+                                               m * sign * b_int, m * scale)
+        assert from_ints == row and from_ints.int_leq == row.int_leq
+    # equality and hash agree with the Fraction rows on other rows too:
+    # another row, the row scaled by k, and its opposite relation
+    others = [b, (tuple(k * v for v in coeffs), rel, k * rhs),
+              (tuple(-v for v in coeffs), {"<=": ">=", ">=": "<=", "=": "="}[rel], -rhs)]
+    for other in others:
+        got, want = LinearConstraint(*other), FractionConstraint(*other)
+        assert (got == row) == (want == ref) and (got != row) == (want != ref)
+        if got == row:
+            assert hash(got) == hash(row)
+
+
+def test_rows_are_immutable():
+    row = LinearConstraint((1, 2), LE, 3)
+    for name in ("rel", "int_leq", "coeffs"):
+        with pytest.raises(AttributeError):
+            setattr(row, name, None)
+    assert row == LinearConstraint((F(1), F(2)), LE, F(3)) and row != (1, 2)
 
 
 def test_satisfied_by_matches_fraction_dot_product():
@@ -116,19 +150,16 @@ def test_constraint_normalization_is_scaling_invariant():
     assert ge.normalized() == a.normalized()
 
 
-def test_small_integers_share_one_fraction():
+def test_rat_reads_ints_strings_and_fractions():
     for v in range(-4, 5):
-        assert rat(v) is rat(str(v)) is rat(f"{2 * v}/2") == F(v)
-    assert rat(5) == 5 and rat("7/7") is rat(1)
+        assert rat(v) == rat(str(v)) == rat(f"{2 * v}/2") == F(v)
+        assert type(rat(v)) is F and type(rat(str(v))) is F
+    assert rat("7/7") == 1 and rat(" -3/6 ") == F(-1, 2)
     half = F(1, 2)
-    assert rat(half) is half and rat(F(1)) == 1
-    row = LinearConstraint((1, -1, 0), "<=", 1)
-    assert row.coeffs[0] is row.rhs and row.coeffs[2] is rat(0)
-    # the generators pass small integers as ints, so their rows share them
-    P = gen_tsp_subtour(TspSpec(5))
-    assert {id(v) for r in P.rows for v in (*r.coeffs, r.rhs)} == {id(rat(v)) for v in (0, 1, 2)}
-    with pytest.raises(TypeError):
-        rat(True)
+    assert rat(half) is half
+    for bad in (True, 0.5, None):
+        with pytest.raises(TypeError):
+            rat(bad)
 
 
 def test_equality_rows_split_into_two_leq_rows():
